@@ -34,7 +34,7 @@ class BaseOptConfig:
             raise ValueError("beta1 must be in [0, 1)")
         if not 0.0 <= self.beta2 < 1.0:
             raise ValueError("beta2 must be in [0, 1)")
-        if self.eps_adam <= 0.0:
+        if not self.eps_adam > 0.0:
             raise ValueError("eps_adam must be > 0")
 
 

@@ -9,6 +9,7 @@ reproduce the two-minima trajectory demo: SGDM(0.9) base, alpha 5, rho 2,
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, replace
 
 from .base_optimizers import BASE_KINDS, SGDM
@@ -91,9 +92,12 @@ _KNOWN = {
 
 def _float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{key} in [{section}] must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} in [{section}] must be finite, got {raw!r}")
+    return value
 
 
 def _int(section: str, key: str, raw: str) -> int:

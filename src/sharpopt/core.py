@@ -1,7 +1,7 @@
 """Dense 64-bit vector arithmetic shared by every optimizer step.
 
-Reductions (norms, dot) accumulate sequentially left to right so repeated
-runs give identical results on any IEEE-754 platform.
+``l2_norm`` and ``dot`` reduce with ``np.matmul``, so repeated runs give
+bitwise-identical results on the same machine and numpy/BLAS build.
 """
 from __future__ import annotations
 
@@ -15,15 +15,21 @@ INVERSE_SQRT = "inverse-sqrt"
 
 
 def as_vector(values, dim: int | None = None) -> np.ndarray:
-    """Coerce to a finite 1-D float64 array, optionally checking its dimension."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim == 0:
-        v = v.reshape(1)
+    """Coerce to a finite 1-D float64 array, optionally checking its dimension.
+
+    A 1-D float64 ndarray is returned as is, after the size and finiteness
+    checks; anything else goes through ``np.asarray`` first.
+    """
+    v = values
+    if not (type(v) is np.ndarray and v.ndim == 1 and v.dtype == np.float64):
+        v = np.asarray(values, dtype=np.float64)
+        if v.ndim == 0:
+            v = v.reshape(1)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"expected a 1-D vector with at least one entry, got shape {v.shape}")
     if dim is not None and v.size != dim:
         raise ValueError(f"expected a vector of dimension {dim}, got {v.size}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 
@@ -35,17 +41,13 @@ def _check_same_dim(u: np.ndarray, v: np.ndarray) -> None:
 
 def dot(u, v) -> float:
     _check_same_dim(u, v)
-    acc = 0.0
-    for a, b in zip(u, v):
-        acc += a * b
-    return float(acc)
+    return float(np.matmul(u, v))
 
 
 def l2_norm(v) -> float:
-    acc = 0.0
-    for x in v:
-        acc += x * x
-    return math.sqrt(acc)
+    # np.matmul, unlike np.dot, keeps the GIL for small vectors, so threads
+    # of a sweep do not hand it over on every norm
+    return math.sqrt(np.matmul(v, v))
 
 
 def linf_norm(v) -> float:

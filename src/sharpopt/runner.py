@@ -2,7 +2,8 @@
 
 Seed streams: [seed, 0] initializes w, [seed, 1, t] draws step t's batch,
 [seed, 2] synthesizes datasets, [seed, 3] starts power iteration. Every
-stream is addressed independently, so runs replay bitwise.
+stream is addressed independently, so runs replay bitwise on the same
+machine and numpy/BLAS build.
 """
 from __future__ import annotations
 
@@ -125,7 +126,7 @@ def run(cfg: RunConfig, obj: Objective | None = None) -> Trajectory:
             raise NumericBlowup(
                 f"step {t} left the objective's domain: {exc}", t, partial()
             ) from exc
-        if not np.isfinite(out.loss_at_w) or not np.all(np.isfinite(out.new_w)):
+        if not np.isfinite(out.loss_at_w) or not np.isfinite(out.new_w).all():
             raise NumericBlowup(f"non-finite iterate at step {t}", t, partial())
         records.append(
             StepRecord(
@@ -286,16 +287,20 @@ def emit(text: str, path: str | None = None) -> int:
 def read_trajectory_csv(path: str) -> Trajectory:
     """Rebuild a Trajectory from an emitted CSV with w columns."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
+        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, 1) if ln.strip()]
+    header = lines[0][1].split(",")
     if header[:4] != ["step", "loss", "grad_norm", "sharpness"]:
         raise ValueError("not a trajectory CSV")
     w_cols = len(header) - 4
     if w_cols < 1:
         raise ValueError("trajectory CSV has no w columns to rebuild from")
     records = []
-    for ln in lines[1:]:
+    for n, ln in lines[1:]:
         parts = ln.split(",")
+        if len(parts) != len(header):
+            raise ValueError(
+                f"{path} line {n}: {len(parts)} fields, the header has {len(header)}"
+            )
         records.append(
             StepRecord(
                 t=int(parts[0]),

@@ -105,6 +105,11 @@ def test_config_validation(kwargs):
         BaseOptConfig(**kwargs)
 
 
+def test_config_rejects_a_nan_adam_epsilon():
+    with pytest.raises(ValueError):
+        BaseOptConfig(eps_adam=float("nan"))
+
+
 @given(st.lists(st.floats(-100, 100), min_size=1, max_size=6))
 def test_adam_first_direction_is_elementwise_bounded(gs):
     # m_hat / (sqrt(v_hat) + eps) = g / (|g| + eps), magnitude below 1

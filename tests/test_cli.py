@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from sharpopt import cli
 from sharpopt.cli import main
 
 TOY_DOC = "[objective]\nkind = toy\n"
@@ -111,6 +112,23 @@ def test_bad_config_exits_one(tmp_path, capfd):
     path = write(tmp_path, "[objective]\nkind = cubic\n")
     assert main(["run", "--config", path]) == 1
     assert "sharpopt:" in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("old,new", [
+    ("[run]", "eps_adam = nan\n\n[run]"),
+    ("init = 0.0, 0.0", "init = nan, 1.0"),
+    ("init = 0.0, 0.0", "init_scale = nan"),
+    ("alpha = 0.1", "alpha = inf"),
+])
+def test_nonfinite_config_number_exits_one_before_any_step(tmp_path, capfd, monkeypatch, old, new):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    doc = QUAD_DOC.replace(old, new)
+    assert doc != QUAD_DOC
+    assert main(["run", "--config", write(tmp_path, doc)]) == 1
+    assert "must be finite" in capfd.readouterr().err
 
 
 def test_bad_flag_value_exits_one(capfd):

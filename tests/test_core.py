@@ -38,6 +38,39 @@ def test_as_vector_rejects_bad_shapes_and_nonfinite():
         as_vector([1.0, 2.0], dim=3)
 
 
+@pytest.mark.parametrize("bad", [
+    np.array([1.0, np.nan]),
+    np.array([np.inf, 1.0]),
+    np.array([1.0, -np.inf]),
+    np.array([[1.0, 2.0]]),
+    np.empty(0),
+])
+def test_as_vector_rejects_nonfinite_2d_and_empty_float_arrays(bad):
+    with pytest.raises(ValueError):
+        as_vector(bad)
+
+
+def test_as_vector_checks_the_dimension_of_a_float_vector():
+    with pytest.raises(ValueError):
+        as_vector(np.ones(3), dim=2)
+    assert as_vector(np.ones(2), dim=2).shape == (2,)
+
+
+def test_as_vector_returns_a_float_vector_itself():
+    v = np.array([1.5, -2.0])
+    assert as_vector(v) is v
+    strided = np.arange(6.0)[::2]
+    assert as_vector(strided) is strided
+
+
+def test_as_vector_coerces_lists_and_int_arrays():
+    ints = np.array([1, 2])
+    v = as_vector(ints)
+    assert v is not ints and v.dtype == np.float64 and v.tolist() == [1.0, 2.0]
+    assert as_vector([3, 4]).dtype == np.float64
+    assert as_vector(np.float32(2.5)).tolist() == [2.5]
+
+
 def test_norms_and_dot_hand_values():
     assert dot(np.array([1.0, 2.0]), np.array([3.0, -1.0])) == 1.0
     assert l2_norm([3.0, 4.0]) == 5.0

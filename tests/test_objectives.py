@@ -123,6 +123,53 @@ def test_quadratic_batch_averages_centers():
     assert obj.grad(w, BatchSpec((1,))).tolist() == [-1.0]
 
 
+def _centres_1024x8():
+    rng = np.random.default_rng(11)
+    return Quadratic(rng.uniform(0.5, 2.0, size=8), rng.standard_normal((1024, 8))), rng
+
+
+@pytest.mark.parametrize("batch_size", [None, 1, 128])
+def test_quadratic_matches_the_per_centre_reference(batch_size):
+    obj, rng = _centres_1024x8()
+    w = 2.0 * rng.standard_normal(8)
+    if batch_size is None:
+        batch, idx = FULL_BATCH, range(obj.num_examples)
+    else:
+        idx = sorted(rng.choice(obj.num_examples, size=batch_size, replace=False).tolist())
+        batch = BatchSpec(tuple(idx))
+    ref_loss, ref_grad = 0.0, np.zeros(8)
+    for k in idx:
+        lk, gk = quadratic_eval(obj.a, obj.centers[k], w)
+        ref_loss += lk
+        ref_grad += gk
+    ref_loss, ref_grad = ref_loss / len(idx), ref_grad / len(idx)
+    loss, grad = obj.loss_grad(w, batch)
+    assert isinstance(loss, float)
+    assert math.isclose(loss, ref_loss, rel_tol=1e-12)
+    assert relative_l2_error(grad, ref_grad) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_quadratic_rejects_a_nonfinite_point(bad):
+    obj, _ = _centres_1024x8()
+    w = np.zeros(8)
+    w[3] = bad
+    with pytest.raises(ValueError):
+        obj.loss_grad(w)
+    with pytest.raises(ValueError):
+        obj.loss_grad(w, BatchSpec((0, 5)))
+
+
+def test_quadratic_terms_overflow_like_the_per_centre_form():
+    # (w - c)^2 alone overflows here, a * (w - c)^2 does not
+    obj = Quadratic(a=(1e-10, 1.0), centers=[(0.0, 0.0)])
+    w = np.array([1e155, 0.0])
+    loss, grad = obj.loss_grad(w)
+    ref_loss, ref_grad = quadratic_eval(obj.a, obj.centers[0], w)
+    assert loss == ref_loss == 5e299
+    assert grad.tolist() == ref_grad.tolist()
+
+
 def test_quadratic_validation():
     with pytest.raises(ValueError):
         Quadratic(a=(0.0, 1.0), centers=[(0.0, 0.0)])
@@ -151,6 +198,14 @@ def test_batch_sampler_is_random_access_deterministic():
     assert s.batch_at(1) != s.batch_at(2)
     idx = s.batch_at(17).indices
     assert len(set(idx)) == 4 and all(0 <= i < 10 for i in idx)
+
+
+def test_batch_sampler_draws_are_pinned():
+    # the [seed, 1, t] stream and sorted order are part of the replay contract
+    assert BatchSampler(seed=3, batch_size=4, num_examples=10).batch_at(17).indices == (0, 2, 6, 8)
+    idx = BatchSampler(seed=0, batch_size=5, num_examples=1024).batch_at(2).indices
+    assert idx == (295, 299, 566, 568, 900)
+    assert all(type(i) is int for i in idx)
 
 
 def test_batch_sampler_validation():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sharpopt.config import ObjectiveSpec, RunConfig, SweepSpec, toy_preset
+from sharpopt.objectives import FULL_BATCH, Quadratic
 from sharpopt.runner import (
     NumericBlowup,
     build_objective,
@@ -80,6 +81,38 @@ def test_divergence_raises_with_the_failing_step():
     assert info.value.failed_step <= 100
     rec = info.value.last_finite_record
     assert rec is not None and math.isfinite(rec.loss)
+
+
+@pytest.mark.parametrize("num_centres,alpha,batch_size,failed_step", [
+    (2, 1.5, None, 228),
+    (3, 2.5, 2, 139),
+])
+def test_a_nonfinite_perturbed_point_fails_at_its_pinned_step(
+    num_centres, alpha, batch_size, failed_step
+):
+    # steps pinned from the per-centre evaluation: the adaptive offset
+    # w * w * g_tilde overflows before the loss at w does
+    centres = ((0.5, -0.5), (-1.0, 1.0), (0.0, 2.0))[:num_centres]
+    cfg = RunConfig(
+        objective=ObjectiveSpec(kind="quadratic", a=(1.0, 2.0), centers=centres),
+        mode="sam", base_kind="sgd", alpha=alpha, rho=0.5, adaptive=True, steps=2000,
+        init=(1.0, 1.0), batch_size=batch_size,
+    )
+    seen = []
+
+    class Recording(Quadratic):
+        def loss_grad(self, w, batch=FULL_BATCH):
+            seen.append(np.array(w, dtype=np.float64))
+            return super().loss_grad(w, batch)
+
+    obj = Recording(cfg.objective.a, cfg.objective.centers)
+    with pytest.raises(NumericBlowup) as info:
+        run(cfg, obj)
+    assert info.value.failed_step == failed_step
+    assert "vector entries must be finite" in str(info.value)
+    # the failing call is the step's second, perturbed evaluation
+    assert len(seen) == 2 * failed_step
+    assert np.all(np.isfinite(seen[-2])) and not np.all(np.isfinite(seen[-1]))
 
 
 def test_leaving_the_toy_domain_is_reported_as_a_blowup():
@@ -159,6 +192,14 @@ def test_trajectory_csv_round_trips_bitwise(tmp_path):
     assert np.array_equal(back.final_w, traj.final_w)
     assert back.losses().tolist() == traj.losses().tolist()
     assert all(np.array_equal(a.w, b.w) for a, b in zip(back.records, traj.records))
+
+
+@pytest.mark.parametrize("row", ["1,0.5,1.0,,0.1", "1,0.5,1.0,,0.1,0.2,0.3"])
+def test_trajectory_csv_rejects_a_row_of_the_wrong_width(tmp_path, row):
+    path = tmp_path / "traj.csv"
+    path.write_text(f"step,loss,grad_norm,sharpness,w_0,w_1\n1,0.5,1.0,,0.1,0.2\n\n{row}\n")
+    with pytest.raises(ValueError, match="line 4"):
+        read_trajectory_csv(str(path))
 
 
 def test_trajectory_jsonl_lines_parse():

@@ -12,9 +12,9 @@ import configparser
 import math
 from dataclasses import dataclass, replace
 
-from .base_optimizers import BASE_KINDS, SGDM
-from .core import CONSTANT, INVERSE_SQRT
-from .sam import COUPLED, MODES, SAM
+from .base_optimizers import SGDM, BaseOptConfig
+from .core import CONSTANT, Schedule
+from .sam import COUPLED, SAM, SamConfig
 
 
 class ConfigError(ValueError):
@@ -23,7 +23,6 @@ class ConfigError(ValueError):
 
 OBJECTIVE_KINDS = ("toy", "quadratic", "logistic")
 FORMATS = ("csv", "jsonl")
-SCHEDULE_KINDS = (CONSTANT, INVERSE_SQRT)
 
 TOY_INIT = (-6.0, 10.0)
 
@@ -39,6 +38,14 @@ class ObjectiveSpec:
     num_examples: int = 64
     dim: int = 6
     noise_fraction: float = 0.0
+
+
+def _schedule(name: str, kind: str, base: float) -> Schedule:
+    """A Schedule whose range errors name the setting they came from."""
+    try:
+        return Schedule(kind, base)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,44 @@ class RunConfig:
     out: str | None = None
     out_format: str = "csv"
 
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ConfigError("steps must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if not self.init_scale > 0.0:
+            raise ConfigError("init_scale must be > 0")
+        if self.record_every < 1:
+            raise ConfigError("record_every must be >= 1")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if self.out_format not in FORMATS:
+            raise ConfigError(f"format must be one of {FORMATS}, got {self.out_format!r}")
+        # the optimizer's own range rules live in the configs it is built into
+        try:
+            self.sam_config()
+            self.base_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
+    def sam_config(self) -> SamConfig:
+        return SamConfig(
+            alpha_schedule=_schedule("alpha", self.alpha_schedule, self.alpha),
+            mode=self.mode,
+            rho=self.rho,
+            rho_schedule=_schedule("rho", self.rho_schedule, self.rho),
+            gamma=self.gamma,
+            sam_eps=self.sam_eps,
+            adaptive=self.adaptive,
+            clip_norm=self.clip_norm,
+        )
+
+    def base_config(self) -> BaseOptConfig:
+        return BaseOptConfig(
+            kind=self.base_kind, momentum_coeff=self.momentum_coeff,
+            beta1=self.beta1, beta2=self.beta2, eps_adam=self.eps_adam,
+        )
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -76,18 +121,6 @@ class SweepSpec:
     seeds: tuple[int, ...] = ()
     max_cells: int = 10_000
     eig: bool = False
-
-
-_KNOWN = {
-    "objective": {"kind", "a", "centers", "csv", "num_examples", "dim", "noise_fraction"},
-    "optimizer": {
-        "mode", "base", "alpha", "alpha_schedule", "rho", "rho_schedule", "gamma",
-        "momentum", "beta1", "beta2", "eps_adam", "sam_eps", "adaptive", "clip_norm",
-        "batch_size",
-    },
-    "run": {"steps", "seed", "init", "init_scale", "record_every", "out", "format"},
-    "sweep": {"gamma", "rho", "alpha", "seed", "max_cells", "eig"},
-}
 
 
 def _float(section: str, key: str, raw: str) -> float:
@@ -128,6 +161,54 @@ def _int_list(section: str, key: str, raw: str) -> tuple[int, ...]:
     if not parts:
         raise ConfigError(f"{key} in [{section}] must be a comma-separated list")
     return tuple(_int(section, key, p) for p in parts)
+
+
+def _text(section: str, key: str, raw: str) -> str:
+    return raw.strip()
+
+
+def _or_none(parse):
+    """An empty value leaves the field unset (None)."""
+    return lambda section, key, raw: parse(section, key, raw) if raw.strip() else None
+
+
+def _init(section: str, key: str, raw: str) -> tuple[float, ...] | None:
+    raw = raw.strip()
+    return None if raw in ("", "random") else _float_list(section, key, raw)
+
+
+# (section, INI key) -> (RunConfig field, parser of the raw value)
+_FIELDS = {
+    ("optimizer", "mode"): ("mode", _text),
+    ("optimizer", "base"): ("base_kind", _text),
+    ("optimizer", "alpha"): ("alpha", _float),
+    ("optimizer", "alpha_schedule"): ("alpha_schedule", _text),
+    ("optimizer", "rho"): ("rho", _float),
+    ("optimizer", "rho_schedule"): ("rho_schedule", _text),
+    ("optimizer", "gamma"): ("gamma", _float),
+    ("optimizer", "momentum"): ("momentum_coeff", _float),
+    ("optimizer", "beta1"): ("beta1", _float),
+    ("optimizer", "beta2"): ("beta2", _float),
+    ("optimizer", "eps_adam"): ("eps_adam", _float),
+    ("optimizer", "sam_eps"): ("sam_eps", _float),
+    ("optimizer", "adaptive"): ("adaptive", _bool),
+    ("optimizer", "clip_norm"): ("clip_norm", _or_none(_float)),
+    ("optimizer", "batch_size"): ("batch_size", _or_none(_int)),
+    ("run", "steps"): ("steps", _int),
+    ("run", "seed"): ("seed", _int),
+    ("run", "init"): ("init", _init),
+    ("run", "init_scale"): ("init_scale", _float),
+    ("run", "record_every"): ("record_every", _int),
+    ("run", "out"): ("out", _or_none(_text)),
+    ("run", "format"): ("out_format", _text),
+}
+
+_KNOWN = {
+    "objective": {"kind", "a", "centers", "csv", "num_examples", "dim", "noise_fraction"},
+    "optimizer": {key for section, key in _FIELDS if section == "optimizer"},
+    "run": {key for section, key in _FIELDS if section == "run"},
+    "sweep": {"gamma", "rho", "alpha", "seed", "max_cells", "eig"},
+}
 
 
 def _read_document(text: str) -> configparser.ConfigParser:
@@ -184,90 +265,15 @@ def parse_config(text: str) -> RunConfig:
     """Validate a config document into a RunConfig; raises ConfigError."""
     parser = _read_document(text)
     objective = _parse_objective(parser["objective"])
-    cfg = RunConfig(objective=objective)
-    explicit_random_init = False
-
-    if parser.has_section("optimizer"):
-        sec = parser["optimizer"]
-        mode = sec.get("mode", cfg.mode).strip()
-        if mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-        base = sec.get("base", cfg.base_kind).strip()
-        if base not in BASE_KINDS:
-            raise ConfigError(f"base must be one of {BASE_KINDS}, got {base!r}")
-        alpha_schedule = sec.get("alpha_schedule", cfg.alpha_schedule).strip()
-        rho_schedule = sec.get("rho_schedule", cfg.rho_schedule).strip()
-        for name, val in (("alpha_schedule", alpha_schedule), ("rho_schedule", rho_schedule)):
-            if val not in SCHEDULE_KINDS:
-                raise ConfigError(f"{name} must be one of {SCHEDULE_KINDS}, got {val!r}")
-        gamma = _float("optimizer", "gamma", sec.get("gamma", str(cfg.gamma)))
-        if not 0.0 <= gamma < 1.0:
-            raise ConfigError("gamma must be in [0,1)")
-        alpha = _float("optimizer", "alpha", sec.get("alpha", str(cfg.alpha)))
-        if not alpha >= 0.0:
-            raise ConfigError("alpha must be >= 0")
-        rho = _float("optimizer", "rho", sec.get("rho", str(cfg.rho)))
-        if not rho >= 0.0:
-            raise ConfigError("rho must be >= 0")
-        momentum = _float("optimizer", "momentum", sec.get("momentum", str(cfg.momentum_coeff)))
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigError("momentum must be in [0,1)")
-        beta1 = _float("optimizer", "beta1", sec.get("beta1", str(cfg.beta1)))
-        beta2 = _float("optimizer", "beta2", sec.get("beta2", str(cfg.beta2)))
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ConfigError("beta1 and beta2 must be in [0,1)")
-        eps_adam = _float("optimizer", "eps_adam", sec.get("eps_adam", str(cfg.eps_adam)))
-        sam_eps = _float("optimizer", "sam_eps", sec.get("sam_eps", str(cfg.sam_eps)))
-        if eps_adam <= 0.0 or sam_eps <= 0.0:
-            raise ConfigError("eps_adam and sam_eps must be > 0")
-        adaptive = _bool("optimizer", "adaptive", sec.get("adaptive", "false"))
-        clip_norm = None
-        if sec.get("clip_norm", "").strip():
-            clip_norm = _float("optimizer", "clip_norm", sec["clip_norm"])
-            if clip_norm <= 0.0:
-                raise ConfigError("clip_norm must be > 0 when set")
-        batch_size = None
-        if sec.get("batch_size", "").strip():
-            batch_size = _int("optimizer", "batch_size", sec["batch_size"])
-            if batch_size < 1:
-                raise ConfigError("batch_size must be >= 1")
-        cfg = replace(
-            cfg, mode=mode, base_kind=base, alpha=alpha, alpha_schedule=alpha_schedule,
-            rho=rho, rho_schedule=rho_schedule, gamma=gamma, momentum_coeff=momentum,
-            beta1=beta1, beta2=beta2, eps_adam=eps_adam, sam_eps=sam_eps,
-            adaptive=adaptive, clip_norm=clip_norm, batch_size=batch_size,
-        )
-
-    if parser.has_section("run"):
-        sec = parser["run"]
-        steps = _int("run", "steps", sec.get("steps", str(cfg.steps)))
-        if steps < 1:
-            raise ConfigError("steps must be >= 1")
-        seed = _int("run", "seed", sec.get("seed", str(cfg.seed)))
-        if seed < 0:
-            raise ConfigError("seed must be >= 0")
-        record_every = _int("run", "record_every", sec.get("record_every", "1"))
-        if record_every < 1:
-            raise ConfigError("record_every must be >= 1")
-        init = None
-        raw_init = sec.get("init", "").strip()
-        if raw_init == "random":
-            explicit_random_init = True
-        elif raw_init:
-            init = _float_list("run", "init", raw_init)
-        init_scale = _float("run", "init_scale", sec.get("init_scale", "1.0"))
-        if init_scale <= 0.0:
-            raise ConfigError("init_scale must be > 0")
-        out = sec.get("out", "").strip() or None
-        out_format = sec.get("format", cfg.out_format).strip()
-        if out_format not in FORMATS:
-            raise ConfigError(f"format must be one of {FORMATS}, got {out_format!r}")
-        cfg = replace(
-            cfg, steps=steps, seed=seed, init=init, init_scale=init_scale,
-            record_every=record_every, out=out, out_format=out_format,
-        )
+    fields = {
+        field: parse(section, key, parser[section][key])
+        for (section, key), (field, parse) in _FIELDS.items()
+        if parser.has_option(section, key)
+    }
+    cfg = RunConfig(objective=objective, **fields)
 
     # the toy demo starts from its canonical point unless 'random' was asked for
+    explicit_random_init = parser.get("run", "init", fallback="").strip() == "random"
     if cfg.init is None and not explicit_random_init and cfg.objective.kind == "toy":
         cfg = replace(cfg, init=TOY_INIT)
     if cfg.init is not None:
@@ -294,18 +300,11 @@ def parse_sweep_config(text: str) -> tuple[RunConfig, SweepSpec]:
     )
     if spec.max_cells < 1:
         raise ConfigError("max_cells must be >= 1")
-    for g in spec.gammas:
-        if not 0.0 <= g < 1.0:
-            raise ConfigError("gamma must be in [0,1)")
-    for r in spec.rhos:
-        if r < 0.0:
-            raise ConfigError("rho must be >= 0")
-    for a in spec.alphas:
-        if a < 0.0:
-            raise ConfigError("alpha must be >= 0")
-    for s in spec.seeds:
-        if s < 0:
-            raise ConfigError("seed must be >= 0")
+    for field, values in (
+        ("gamma", spec.gammas), ("rho", spec.rhos), ("alpha", spec.alphas), ("seed", spec.seeds)
+    ):
+        for value in values:
+            replace(cfg, **{field: value})  # RunConfig checks the value's range
     n_cells = (
         max(1, len(spec.gammas)) * max(1, len(spec.rhos))
         * max(1, len(spec.alphas)) * max(1, len(spec.seeds))
@@ -333,12 +332,6 @@ def toy_preset(gamma: float, mode: str = COUPLED, steps: int = 150, seed: int = 
     gamma grows (the decoupled correction, lacking momentum amplification,
     settles in the sharp basin for every gamma at these settings).
     """
-    if not 0.0 <= gamma < 1.0:
-        raise ConfigError("gamma must be in [0,1)")
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    if steps < 1:
-        raise ConfigError("steps must be >= 1")
     return RunConfig(
         objective=ObjectiveSpec(kind="toy"),
         mode=mode,

@@ -14,6 +14,10 @@ CONSTANT = "constant"
 INVERSE_SQRT = "inverse-sqrt"
 
 
+class DomainError(ValueError):
+    """A point left the domain where a value is defined (non-finite entries, say)."""
+
+
 def as_vector(values, dim: int | None = None) -> np.ndarray:
     """Coerce to a finite 1-D float64 array, optionally checking its dimension.
 
@@ -30,7 +34,7 @@ def as_vector(values, dim: int | None = None) -> np.ndarray:
     if dim is not None and v.size != dim:
         raise ValueError(f"expected a vector of dimension {dim}, got {v.size}")
     if not np.isfinite(v).all():
-        raise ValueError("vector entries must be finite")
+        raise DomainError("vector entries must be finite")
     return v
 
 
@@ -45,8 +49,6 @@ def dot(u, v) -> float:
 
 
 def l2_norm(v) -> float:
-    # np.matmul, unlike np.dot, keeps the GIL for small vectors, so threads
-    # of a sweep do not hand it over on every norm
     return math.sqrt(np.matmul(v, v))
 
 
@@ -108,7 +110,7 @@ class Schedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         # base 0 is allowed so a disabled perturbation radius flows through
         if not (math.isfinite(self.base) and self.base >= 0.0):
-            raise ValueError("schedule base must be a finite nonnegative real")
+            raise ValueError(f"schedule base must be a finite nonnegative real, got {self.base!r}")
 
     def value_at(self, t: int) -> float:
         if t < 1:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_vector, l2_norm
+from .core import DomainError, as_vector, l2_norm
 
 # Seed-stream tags; combined with the run seed they give independent,
 # randomly-accessible generators per purpose.
@@ -135,7 +135,7 @@ def _toy_eval(w, params: ToyLandscapeParams) -> tuple[float, np.ndarray]:
     w = as_vector(w, dim=2)
     mu, sigma = float(w[0]), float(w[1])
     if sigma <= 0.0:
-        raise ValueError("toy landscape requires sigma > 0")
+        raise DomainError("toy landscape requires sigma > 0")
     ks = [kl_univariate(mu, sigma, m, s) for m, s in zip(params.means, params.sigmas)]
     exponents = [-k / (t * t) for k, t in zip(ks, params.temperatures)]
     # log-sum-exp keeps the loss finite far from both basins

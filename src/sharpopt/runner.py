@@ -8,17 +8,16 @@ machine and numpy/BLAS build.
 from __future__ import annotations
 
 import itertools
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analysis import StepRecord, Trajectory, classify_minimum, power_iteration
-from .base_optimizers import BaseOptConfig, BaseOptState
+from .base_optimizers import BaseOptState
 from .config import RunConfig, SweepSpec
-from .core import Schedule, l2_norm
+from .core import DomainError, l2_norm
 from .objectives import (
     FULL_BATCH,
     SEED_STREAM_INIT,
@@ -28,7 +27,7 @@ from .objectives import (
     Quadratic,
     ToyLandscape,
 )
-from .sam import SamConfig, step
+from .sam import step
 
 SNAPSHOT_DIM_LIMIT = 16
 
@@ -68,26 +67,6 @@ def initial_w(cfg: RunConfig, obj: Objective) -> np.ndarray:
     return cfg.init_scale * rng.standard_normal(obj.dim)
 
 
-def make_base_config(cfg: RunConfig) -> BaseOptConfig:
-    return BaseOptConfig(
-        kind=cfg.base_kind, momentum_coeff=cfg.momentum_coeff,
-        beta1=cfg.beta1, beta2=cfg.beta2, eps_adam=cfg.eps_adam,
-    )
-
-
-def make_sam_config(cfg: RunConfig) -> SamConfig:
-    return SamConfig(
-        alpha_schedule=Schedule(cfg.alpha_schedule, cfg.alpha),
-        mode=cfg.mode,
-        rho=cfg.rho,
-        rho_schedule=Schedule(cfg.rho_schedule, cfg.rho),
-        gamma=cfg.gamma,
-        sam_eps=cfg.sam_eps,
-        adaptive=cfg.adaptive,
-        clip_norm=cfg.clip_norm,
-    )
-
-
 def run(cfg: RunConfig, obj: Objective | None = None) -> Trajectory:
     """Execute cfg.steps steps; raises NumericBlowup when w or loss leaves R.
 
@@ -98,8 +77,8 @@ def run(cfg: RunConfig, obj: Objective | None = None) -> Trajectory:
     """
     if obj is None:
         obj = build_objective(cfg)
-    sam_cfg = make_sam_config(cfg)
-    base_cfg = make_base_config(cfg)
+    sam_cfg = cfg.sam_config()
+    base_cfg = cfg.base_config()
     state = BaseOptState(dim=obj.dim)
     sampler = None
     if cfg.batch_size is not None:
@@ -122,7 +101,7 @@ def run(cfg: RunConfig, obj: Objective | None = None) -> Trajectory:
             # overflow on a diverging run is reported below; the warning is noise
             with np.errstate(over="ignore", invalid="ignore"):
                 out = step(obj, w, batch, state, base_cfg, sam_cfg, t)
-        except ValueError as exc:
+        except DomainError as exc:
             raise NumericBlowup(
                 f"step {t} left the objective's domain: {exc}", t, partial()
             ) from exc
@@ -154,19 +133,12 @@ class SweepRow:
     minimum: str | None = None
 
 
-def _sweep_threads(n_cells: int) -> int:
-    raw = os.environ.get("SHARPOPT_THREADS", "").strip()
-    if raw:
-        cap = int(raw)
-        if cap < 1:
-            raise ValueError("SHARPOPT_THREADS must be >= 1")
-    else:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, min(cap, n_cells))
-
-
 def sweep(cfg: RunConfig, spec: SweepSpec) -> list[SweepRow]:
-    """One run per grid cell, isolate-and-continue, deterministic row order."""
+    """One run per grid cell, in grid order; a diverging cell does not stop the rest.
+
+    A cell is diverged when its run blows up, or when its final full-batch loss
+    is non-finite or above the full-batch loss at its initial point.
+    """
     gammas = spec.gammas or (cfg.gamma,)
     rhos = spec.rhos or (cfg.rho,)
     alphas = spec.alphas or (cfg.alpha,)
@@ -182,17 +154,15 @@ def sweep(cfg: RunConfig, spec: SweepSpec) -> list[SweepRow]:
         except NumericBlowup:
             return SweepRow(gamma, rho, alpha, seed, "diverged")
         loss, grad = obj.loss_grad(traj.final_w)
+        if not math.isfinite(loss) or loss > obj.loss(initial_w(rcfg, obj)):
+            return SweepRow(gamma, rho, alpha, seed, "diverged")
         lam = None
         if spec.eig:
             lam = power_iteration(obj, traj.final_w, seed=seed).lambda_max
         minimum = classify_minimum(traj.final_w) if rcfg.objective.kind == "toy" else None
         return SweepRow(gamma, rho, alpha, seed, "ok", loss, l2_norm(grad), lam, minimum)
 
-    threads = _sweep_threads(len(cells))
-    if threads == 1:
-        return [one(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, cells))
+    return [one(c) for c in cells]
 
 
 def _fmt(x: float | None) -> str:

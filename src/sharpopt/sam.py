@@ -1,8 +1,8 @@
 """Sharpness-aware stepping rules over a pluggable base optimizer.
 
-Four modes share one step contract. Per step, "sam" perturbs by the ascent
-direction and hands the perturbed gradient g to the base; "wsam" hands the
-clean gradient g_tilde to the base and adds the weighted sharpness
+Four modes share one step skeleton, ``_step``. Per step, "sam" perturbs by
+the ascent direction and hands the perturbed gradient g to the base; "wsam"
+hands the clean gradient g_tilde to the base and adds the weighted sharpness
 correction gamma/(1-gamma) * (g - g_tilde) outside it, unpreconditioned;
 "coupled" hands the base the single blended gradient
 h = gamma/(1-gamma) * g + (1-2gamma)/(1-gamma) * g_tilde; "vanilla" skips
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base_optimizers import BaseOptConfig, BaseOptState, apply_update, compute_direction
-from .core import Schedule, as_vector, constant, l2_norm, precond_solve
+from .core import IDENTITY, Schedule, as_vector, constant, l2_norm, precond_solve
 from .objectives import FULL_BATCH, BatchSpec, Objective
 
 VANILLA = "vanilla"
@@ -126,95 +126,39 @@ def wsam_loss(
     return obj.loss(w, batch) + coeff * sharpness_estimate(obj, w, batch, rho_t, eps)
 
 
-def _perturbed_pair(obj, w, batch, cfg: SamConfig, t: int):
-    """Clean and perturbed evaluations sharing one batch."""
+def _step(
+    obj: Objective,
+    w,
+    batch: BatchSpec,
+    state: BaseOptState | None,
+    base_cfg: BaseOptConfig | None,
+    sam_cfg: SamConfig,
+    t: int,
+    mode: str,
+) -> StepOutput:
+    """The one step skeleton; no base state means the identity base."""
     loss, g_tilde = obj.loss_grad(w, batch)
-    delta = perturb(w, g_tilde, cfg.rho_at(t), cfg.sam_eps, cfg.adaptive)
-    loss_adv, g = obj.loss_grad(as_vector(w) + delta, batch)
-    return loss, g_tilde, loss_adv, g
-
-
-def step_vanilla(
-    obj: Objective,
-    w,
-    batch: BatchSpec,
-    base_state: BaseOptState,
-    base_cfg: BaseOptConfig,
-    sam_cfg: SamConfig,
-    t: int,
-) -> StepOutput:
-    loss, g_tilde = obj.loss_grad(w, batch)
-    m, b = compute_direction(base_state, base_cfg, clip_to_norm(g_tilde, sam_cfg.clip_norm))
-    new_w = apply_update(w, sam_cfg.alpha_at(t), m, b)
-    return StepOutput(new_w, loss, l2_norm(g_tilde), None)
-
-
-def step_sam(
-    obj: Objective,
-    w,
-    batch: BatchSpec,
-    base_state: BaseOptState,
-    base_cfg: BaseOptConfig,
-    sam_cfg: SamConfig,
-    t: int,
-) -> StepOutput:
-    loss, g_tilde, loss_adv, g = _perturbed_pair(obj, w, batch, sam_cfg, t)
-    m, b = compute_direction(base_state, base_cfg, clip_to_norm(g, sam_cfg.clip_norm))
-    new_w = apply_update(w, sam_cfg.alpha_at(t), m, b)
-    return StepOutput(new_w, loss, l2_norm(g_tilde), loss_adv - loss)
-
-
-def step_wsam_decoupled(
-    obj: Objective,
-    w,
-    batch: BatchSpec,
-    base_state: BaseOptState,
-    base_cfg: BaseOptConfig,
-    sam_cfg: SamConfig,
-    t: int,
-) -> StepOutput:
-    loss, g_tilde, loss_adv, g = _perturbed_pair(obj, w, batch, sam_cfg, t)
-    m, b = compute_direction(base_state, base_cfg, clip_to_norm(g_tilde, sam_cfg.clip_norm))
-    coeff = sam_cfg.gamma / (1.0 - sam_cfg.gamma)
-    # the sharpness correction rides outside the base update: raw alpha_t,
-    # no preconditioning, and never clipped
-    direction = precond_solve(b, m) + coeff * (g - g_tilde)
-    new_w = as_vector(w) - sam_cfg.alpha_at(t) * direction
-    return StepOutput(new_w, loss, l2_norm(g_tilde), loss_adv - loss)
-
-
-def step_wsam_coupled(
-    obj: Objective,
-    w,
-    batch: BatchSpec,
-    base_state: BaseOptState,
-    base_cfg: BaseOptConfig,
-    sam_cfg: SamConfig,
-    t: int,
-) -> StepOutput:
-    loss, g_tilde, loss_adv, g = _perturbed_pair(obj, w, batch, sam_cfg, t)
-    c_adv, c_clean = gamma_coefficients(sam_cfg.gamma)
-    h = c_adv * g + c_clean * g_tilde
-    m, b = compute_direction(base_state, base_cfg, clip_to_norm(h, sam_cfg.clip_norm))
-    new_w = apply_update(w, sam_cfg.alpha_at(t), m, b)
-    return StepOutput(new_w, loss, l2_norm(g_tilde), loss_adv - loss)
-
-
-def step_sgd_wsam(obj: Objective, w, batch: BatchSpec, sam_cfg: SamConfig, t: int) -> StepOutput:
-    """Base-free blended step w - alpha_t * h; the stateless special case."""
-    loss, g_tilde, loss_adv, g = _perturbed_pair(obj, w, batch, sam_cfg, t)
-    c_adv, c_clean = gamma_coefficients(sam_cfg.gamma)
-    h = clip_to_norm(c_adv * g + c_clean * g_tilde, sam_cfg.clip_norm)
-    new_w = as_vector(w) - sam_cfg.alpha_at(t) * h
-    return StepOutput(new_w, loss, l2_norm(g_tilde), loss_adv - loss)
-
-
-_STEPPERS = {
-    VANILLA: step_vanilla,
-    SAM: step_sam,
-    WSAM: step_wsam_decoupled,
-    COUPLED: step_wsam_coupled,
-}
+    fed, sharpness = g_tilde, None
+    if mode != VANILLA:
+        delta = perturb(w, g_tilde, sam_cfg.rho_at(t), sam_cfg.sam_eps, sam_cfg.adaptive)
+        loss_adv, g = obj.loss_grad(as_vector(w) + delta, batch)
+        sharpness = loss_adv - loss
+        if mode == SAM:
+            fed = g
+        elif mode == COUPLED:
+            c_adv, c_clean = gamma_coefficients(sam_cfg.gamma)
+            fed = c_adv * g + c_clean * g_tilde
+    fed = clip_to_norm(fed, sam_cfg.clip_norm)
+    m, b = (fed, IDENTITY) if state is None else compute_direction(state, base_cfg, fed)
+    if mode == WSAM:
+        coeff = sam_cfg.gamma / (1.0 - sam_cfg.gamma)
+        # the sharpness correction rides outside the base update: raw alpha_t,
+        # no preconditioning, and never clipped
+        direction = precond_solve(b, m) + coeff * (g - g_tilde)
+        new_w = as_vector(w) - sam_cfg.alpha_at(t) * direction
+    else:
+        new_w = apply_update(w, sam_cfg.alpha_at(t), m, b)
+    return StepOutput(new_w, loss, l2_norm(g_tilde), sharpness)
 
 
 def step(
@@ -226,5 +170,10 @@ def step(
     sam_cfg: SamConfig,
     t: int,
 ) -> StepOutput:
-    """Dispatch one step on sam_cfg.mode."""
-    return _STEPPERS[sam_cfg.mode](obj, w, batch, base_state, base_cfg, sam_cfg, t)
+    """One step of sam_cfg.mode over the base optimizer."""
+    return _step(obj, w, batch, base_state, base_cfg, sam_cfg, t, sam_cfg.mode)
+
+
+def step_sgd_wsam(obj: Objective, w, batch: BatchSpec, sam_cfg: SamConfig, t: int) -> StepOutput:
+    """Base-free blended step w - alpha_t * h; the stateless special case."""
+    return _step(obj, w, batch, None, None, sam_cfg, t, COUPLED)

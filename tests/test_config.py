@@ -2,6 +2,7 @@ import pytest
 
 from sharpopt.config import (
     ConfigError,
+    RunConfig,
     SweepSpec,
     objective_dim,
     parse_config,
@@ -64,6 +65,24 @@ format = jsonl
     assert cfg.record_every == 5 and cfg.out_format == "jsonl"
 
 
+def test_round_trip_of_the_remaining_optimizer_and_run_keys():
+    text = MINIMAL + """
+[optimizer]
+rho_schedule = inverse-sqrt
+momentum = 0.5
+beta2 = 0.99
+sam_eps = 1e-6
+
+[run]
+init_scale = 0.25
+out = traj.csv
+"""
+    cfg = parse_config(text)
+    assert cfg.rho_schedule == "inverse-sqrt"
+    assert cfg.momentum_coeff == 0.5 and cfg.beta2 == 0.99 and cfg.sam_eps == 1e-6
+    assert cfg.init_scale == 0.25 and cfg.out == "traj.csv"
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -117,6 +136,20 @@ def test_sweep_requires_its_section_and_respects_the_cap():
         parse_sweep_config(text)
     with pytest.raises(ConfigError):
         parse_sweep_config(MINIMAL + "[sweep]\ngamma = 1.5\n")
+
+
+@pytest.mark.parametrize("line", ["rho = 0.5, -1", "alpha = -0.1", "seed = 0, -2"])
+def test_out_of_range_sweep_values_raise_config_errors(line):
+    with pytest.raises(ConfigError):
+        parse_sweep_config(MINIMAL + f"[sweep]\n{line}\n")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("steps", 0), ("momentum_coeff", 1.0), ("out_format", "yaml"),
+])
+def test_run_config_checks_its_ranges_when_constructed(field, value):
+    with pytest.raises(ConfigError):
+        RunConfig(**{field: value})
 
 
 def test_objective_dim():

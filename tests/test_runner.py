@@ -1,7 +1,6 @@
 """Run loop, sweep grid, and the emitted table formats."""
 import json
 import math
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -124,6 +123,11 @@ def test_leaving_the_toy_domain_is_reported_as_a_blowup():
         run(cfg)
 
 
+def test_a_dimension_mismatch_is_an_input_error_not_a_blowup():
+    with pytest.raises(ValueError, match="dimension 3"):
+        run(QUAD_CFG, Quadratic(a=(1.0, 1.0, 1.0), centers=[(0.0, 0.0, 0.0)]))
+
+
 # --- sweeps -----------------------------------------------------------------------
 
 def test_sweep_covers_the_grid_in_product_order():
@@ -144,6 +148,17 @@ def test_sweep_isolates_diverging_cells():
     assert rows[0].final_loss is not None
 
 
+def test_sweep_labels_a_cell_that_ends_above_its_start_diverged():
+    # alpha 5 over momentum grows the iterate to ~1e66 without overflowing, so
+    # only the comparison with the loss at the start catches it
+    cfg = RunConfig(
+        objective=ObjectiveSpec(kind="quadratic", a=(1.0,), centers=((1.0,),)),
+        mode="sam", base_kind="sgdm", rho=0.1, init=(0.0,),
+    )
+    rows = sweep(cfg, SweepSpec(alphas=(0.1, 5.0)))
+    assert [r.status for r in rows] == ["ok", "diverged"]
+
+
 def test_sweep_eig_column():
     rows = sweep(QUAD_CFG, SweepSpec(eig=True))
     # the quadratic Hessian is diag(2, 1) everywhere
@@ -154,15 +169,6 @@ def test_sweep_marks_toy_endpoints_with_their_basin():
     rows = sweep(toy_preset(gamma=0.95), SweepSpec(gammas=(0.95,)))
     assert rows[0].minimum == "flat"
     assert sweep(QUAD_CFG, SweepSpec())[0].minimum is None
-
-
-def test_sweep_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("SHARPOPT_THREADS", "1")
-    rows = sweep(QUAD_CFG, SweepSpec(gammas=(0.0, 0.5)))
-    assert len(rows) == 2
-    monkeypatch.setenv("SHARPOPT_THREADS", "0")
-    with pytest.raises(ValueError):
-        sweep(QUAD_CFG, SweepSpec())
 
 
 # --- emitted formats ------------------------------------------------------------------

@@ -1,0 +1,29 @@
+"""The experiment scripts run end to end on small inputs."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script,args,expected", [
+    ("regret_experiment.py", ["--seeds", "1", "--horizon", "400", "--centers", "64"],
+     [("seed 0: R(250)=", "")]),
+    ("toy_trajectories.py", [], [("sam ", " sharp "), ("coupled g=0.95 ", " flat ")]),
+    ("minima_report.py", ["--rhos", "2.0"],
+     [("sharp ", ""), ("flat ", ""), ("at rho=2 the flat basin has the lower weighted loss", "")]),
+])
+def test_script_exits_zero_with_its_expected_lines(script, args, expected):
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    for start, part in expected:
+        assert any(ln.startswith(start) and part in ln for ln in lines), (start, part)

@@ -3,7 +3,7 @@
 Hessian-vector products by central differences of the analytic gradient,
 power iteration for the dominant eigenvalue, regret and gradient-norm
 curves, a generalization-bound calculator, and classification of toy-run
-endpoints against the numerically located minima.
+endpoints against the catalogued minima.
 """
 from __future__ import annotations
 
@@ -221,12 +221,10 @@ def _descend(obj: Objective, w0, lr: float, steps: int) -> np.ndarray:
     return w
 
 
-@functools.lru_cache(maxsize=1)
-def toy_minima() -> ToyMinima:
-    """Locate both toy-landscape minima once by plain descent and cache them.
+def _locate_toy_minima() -> ToyMinima:
+    """Locate both toy-landscape minima by plain descent from coarse basin guesses.
 
-    Starts from coarse basin guesses; the basin with the lower loss is the
-    sharp one.
+    The basin with the lower loss is the sharp one.
     """
     obj = ToyLandscape()
     candidates = []
@@ -236,6 +234,21 @@ def toy_minima() -> ToyMinima:
     candidates.sort(key=lambda pair: pair[1])
     (sharp_w, sharp_loss), (flat_w, flat_loss) = candidates
     return ToyMinima(sharp_w, sharp_loss, flat_w, flat_loss)
+
+
+@functools.lru_cache(maxsize=1)
+def toy_minima() -> ToyMinima:
+    """Both toy-landscape minima: frozen constants, re-derived by a test.
+
+    They are what ``_locate_toy_minima`` finds with 10^4 descent steps from
+    each basin, to all 17 digits.
+    """
+    return ToyMinima(
+        sharp_w=np.array([-16.804743956698722, 12.802543531112136]),
+        sharp_loss=0.2752296543465072,
+        flat_w=np.array([19.810047356402404, 29.93662042632588]),
+        flat_loss=0.3564469282953429,
+    )
 
 
 def classify_minimum(w_final) -> str:

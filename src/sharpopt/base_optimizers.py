@@ -1,7 +1,9 @@
 """Base update rules (sgd, sgdm, adam) as direction + diagonal preconditioner.
 
 Each consumes one gradient per step and produces the pair (m, B) so the
-outer step is always ``w - alpha * B^{-1} m``, whatever the base is.
+outer step is always ``w - alpha * B^{-1} m``, whatever the base is. All of
+it works row-wise on a (K, d) stack of runs as well as on one vector: the
+state buffers start as ``np.zeros(dim)`` and broadcast to the stack.
 """
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import IDENTITY, DiagPrecond, as_vector, precond_solve
+from .core import IDENTITY, DiagPrecond, precond_solve
 
 SGD = "sgd"
 SGDM = "sgdm"
@@ -55,12 +57,22 @@ class BaseOptState:
         self.adam_m = np.zeros(self.dim)
         self.adam_v = np.zeros(self.dim)
 
+    def finite_rows(self) -> np.ndarray | bool:
+        """Which rows of a stack still have a finite second moment (adam's B)."""
+        return np.isfinite(self.adam_v).all(axis=-1) if self.adam_v.ndim == 2 else True
+
+    def keep_rows(self, keep: np.ndarray) -> None:
+        """Drop the stack rows where keep is False."""
+        for name in ("momentum_buf", "adam_m", "adam_v"):
+            buf = getattr(self, name)
+            if buf.ndim == 2:
+                setattr(self, name, buf[keep])
+
 
 def compute_direction(
-    state: BaseOptState, cfg: BaseOptConfig, g
+    state: BaseOptState, cfg: BaseOptConfig, g: np.ndarray
 ) -> tuple[np.ndarray, DiagPrecond]:
-    """Advance the state on gradient g; return the update direction and B."""
-    g = as_vector(g, dim=state.dim)
+    """Advance the state on gradient g (a vector or a stack); return the direction and B."""
     state.step_count += 1
 
     if cfg.kind == SGD:
@@ -79,10 +91,8 @@ def compute_direction(
     return m_hat, DiagPrecond(np.sqrt(v_hat) + cfg.eps_adam)
 
 
-def apply_update(w, alpha_t: float, m, precond: DiagPrecond) -> np.ndarray:
-    """One descent step w - alpha_t * B^{-1} m."""
-    w = as_vector(w)
-    m = as_vector(m, dim=w.size)
-    if not np.isfinite(alpha_t):
+def apply_update(w, alpha_t, m: np.ndarray, precond: DiagPrecond) -> np.ndarray:
+    """One descent step w - alpha_t * B^{-1} m; alpha_t is a real or a (K, 1) column."""
+    if not np.isfinite(alpha_t).all():
         raise ValueError("step size must be finite")
     return w - alpha_t * precond_solve(precond, m)

@@ -39,6 +39,16 @@ class ObjectiveSpec:
     dim: int = 6
     noise_fraction: float = 0.0
 
+    def __post_init__(self):
+        if self.kind not in OBJECTIVE_KINDS:
+            raise ConfigError(f"objective kind must be one of {OBJECTIVE_KINDS}, got {self.kind!r}")
+        if any(len(c) != len(self.a) for c in self.centers):
+            raise ConfigError("each centers row must match the length of a")
+        if not 0.0 <= self.noise_fraction < 1.0:
+            raise ConfigError("noise_fraction must be in [0,1)")
+        if self.num_examples < 1 or self.dim < 1:
+            raise ConfigError("num_examples and dim must be >= 1")
+
 
 def _schedule(name: str, kind: str, base: float) -> Schedule:
     """A Schedule whose range errors name the setting they came from."""
@@ -230,18 +240,15 @@ def _read_document(text: str) -> configparser.ConfigParser:
 
 def _parse_objective(sec) -> ObjectiveSpec:
     kind = sec.get("kind", "toy").strip()
-    if kind not in OBJECTIVE_KINDS:
-        raise ConfigError(f"objective kind must be one of {OBJECTIVE_KINDS}, got {kind!r}")
     spec = ObjectiveSpec(kind=kind)
     if kind == "quadratic":
+        fields = {}
         if "a" in sec:
-            spec = replace(spec, a=_float_list("objective", "a", sec["a"]))
+            fields["a"] = _float_list("objective", "a", sec["a"])
         if "centers" in sec:
             rows = [r.strip() for r in sec["centers"].split("|") if r.strip()]
-            centers = tuple(_float_list("objective", "centers", r) for r in rows)
-            if any(len(c) != len(spec.a) for c in centers):
-                raise ConfigError("each centers row must match the length of a")
-            spec = replace(spec, centers=centers)
+            fields["centers"] = tuple(_float_list("objective", "centers", r) for r in rows)
+        spec = replace(spec, **fields)
     elif kind == "logistic":
         spec = replace(
             spec,
@@ -250,10 +257,6 @@ def _parse_objective(sec) -> ObjectiveSpec:
             dim=_int("objective", "dim", sec.get("dim", "6")),
             noise_fraction=_float("objective", "noise_fraction", sec.get("noise_fraction", "0")),
         )
-        if not 0.0 <= spec.noise_fraction < 1.0:
-            raise ConfigError("noise_fraction must be in [0,1)")
-        if spec.num_examples < 1 or spec.dim < 1:
-            raise ConfigError("num_examples and dim must be >= 1")
     else:
         for key in ("a", "centers", "csv", "num_examples", "dim", "noise_fraction"):
             if key in sec:

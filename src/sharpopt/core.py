@@ -1,7 +1,9 @@
 """Dense 64-bit vector arithmetic shared by every optimizer step.
 
-``l2_norm`` and ``dot`` reduce with ``np.matmul``, so repeated runs give
-bitwise-identical results on the same machine and numpy/BLAS build.
+``l2_norm`` and ``dot`` reduce with ``np.matmul`` and ``row_norms`` with
+``np.vecdot``, which gives each row of a stack the bits ``np.matmul`` gives
+it alone; repeated runs give bitwise-identical results on the same machine
+and numpy/BLAS build.
 """
 from __future__ import annotations
 
@@ -52,6 +54,11 @@ def l2_norm(v) -> float:
     return math.sqrt(np.matmul(v, v))
 
 
+def row_norms(v) -> np.ndarray:
+    """Euclidean norm of a vector (0-d) or of each row of a (K, d) stack (K,)."""
+    return np.sqrt(np.vecdot(v, v))
+
+
 def linf_norm(v) -> float:
     out = 0.0
     for x in v:
@@ -65,13 +72,15 @@ class DiagPrecond:
 
     ``diag=None`` marks the exact identity: solves and applies return the
     input unchanged, bit for bit, so plain-gradient steps incur no division.
+    The diagonal may be a vector or one row per row of a (K, d) stack; a
+    non-finite row is the caller's to catch, so one bad row never fails a stack.
     """
 
     diag: np.ndarray | None = None
 
     def __post_init__(self):
         if self.diag is not None:
-            d = as_vector(self.diag)
+            d = np.asarray(self.diag, dtype=np.float64)
             if np.any(d <= 0.0):
                 raise ValueError("preconditioner diagonal entries must be > 0")
             object.__setattr__(self, "diag", d)
@@ -98,18 +107,26 @@ def precond_solve(b: DiagPrecond, m: np.ndarray) -> np.ndarray:
     return m / b.diag
 
 
+def holds(rule) -> bool:
+    """A range rule's verdict: a bool on a real, or an array of them on a column."""
+    return rule if type(rule) is bool else bool(rule.all())
+
+
 @dataclass(frozen=True)
 class Schedule:
-    """Per-step scalar schedule: ``base`` (constant) or ``base / sqrt(t)``, t >= 1."""
+    """Per-step schedule: ``base`` (constant) or ``base / sqrt(t)``, t >= 1.
+
+    ``base`` is a real, or a (K, 1) column of reals for a stack of K runs.
+    """
 
     kind: str
-    base: float
+    base: float | np.ndarray
 
     def __post_init__(self):
         if self.kind not in (CONSTANT, INVERSE_SQRT):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         # base 0 is allowed so a disabled perturbation radius flows through
-        if not (math.isfinite(self.base) and self.base >= 0.0):
+        if not holds((abs(self.base) < math.inf) & (self.base >= 0.0)):
             raise ValueError(f"schedule base must be a finite nonnegative real, got {self.base!r}")
 
     def value_at(self, t: int) -> float:

@@ -1,7 +1,9 @@
 """Built-in differentiable test problems behind one evaluation contract.
 
 Every objective exposes ``loss_grad(w, batch)`` returning the batch loss and
-its exact analytic gradient. ``finite_diff_grad`` is the central-difference
+its exact analytic gradient. The built-in ones also take a (K, d) stack of
+points and evaluate it row by row with the same arithmetic, so each row gets
+the bits it would get alone. ``finite_diff_grad`` is the central-difference
 oracle the analytic gradients are checked against.
 """
 from __future__ import annotations
@@ -42,10 +44,20 @@ class BatchSpec:
     def is_full(self) -> bool:
         return self.indices is None
 
+    @classmethod
+    def _drawn(cls, idx: np.ndarray) -> BatchSpec:
+        """The batch of distinct, sorted, nonnegative indices idx, taken without the checks."""
+        batch = object.__new__(cls)
+        object.__setattr__(batch, "indices", tuple(idx.tolist()))
+        object.__setattr__(batch, "_index", idx)
+        return batch
+
     def resolve(self, num_examples: int) -> np.ndarray:
         if self.indices is None:
             return np.arange(num_examples)
-        idx = np.asarray(self.indices, dtype=np.intp)
+        idx = getattr(self, "_index", None)
+        if idx is None:
+            idx = np.asarray(self.indices, dtype=np.intp)
         if int(idx.max()) >= num_examples:
             raise ValueError(
                 f"batch index {int(idx.max())} out of range for {num_examples} examples"
@@ -76,7 +88,7 @@ class BatchSampler:
         rng = np.random.default_rng([self.seed, SEED_STREAM_BATCH, t])
         idx = rng.choice(self.num_examples, size=self.batch_size, replace=False)
         idx.sort()
-        return BatchSpec(tuple(idx.tolist()))
+        return BatchSpec._drawn(idx)
 
 
 class Objective:
@@ -84,10 +96,14 @@ class Objective:
 
     Evaluation is pure: identical (w, batch) inputs yield identical outputs.
     Deterministic objectives without a dataset ignore the batch argument.
+    One that ``accepts_stacks`` also evaluates a (K, d) stack in one call,
+    returning K losses and K gradient rows; a row it cannot evaluate (not
+    finite, or outside the domain) reads a non-finite loss instead of raising.
     """
 
     dim: int
     num_examples: int = 1
+    accepts_stacks = False
 
     def loss_grad(self, w, batch: BatchSpec = FULL_BATCH) -> tuple[float, np.ndarray]:
         raise NotImplementedError
@@ -97,6 +113,36 @@ class Objective:
 
     def grad(self, w, batch: BatchSpec = FULL_BATCH) -> np.ndarray:
         return self.loss_grad(w, batch)[1]
+
+
+def _by_row(evaluate, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate a stack one row at a time with the point arithmetic.
+
+    evaluate may meet a non-finite row; where it raises DomainError, or its
+    scalar math overflows, the row reads NaN.
+    """
+    losses = np.empty(len(W))
+    grads = np.empty_like(W)
+    for k, w in enumerate(W):
+        try:
+            losses[k], grads[k] = evaluate(w)
+        except (DomainError, ArithmeticError):
+            losses[k] = grads[k] = np.nan
+    return losses, grads
+
+
+class RowByRow(Objective):
+    """A point-only objective seen through stacks: one inner call per row."""
+
+    accepts_stacks = True
+
+    def __init__(self, inner: Objective):
+        self.inner = inner
+        self.dim = inner.dim
+        self.num_examples = inner.num_examples
+
+    def loss_grad(self, w, batch: BatchSpec = FULL_BATCH):
+        return _by_row(lambda v: self.inner.loss_grad(v, batch), w)
 
 
 def kl_univariate(mu: float, sigma: float, mu_i: float, sigma_i: float) -> float:
@@ -133,24 +179,29 @@ TOY_DEFAULT = ToyLandscapeParams()
 
 def _toy_eval(w, params: ToyLandscapeParams) -> tuple[float, np.ndarray]:
     w = as_vector(w, dim=2)
-    mu, sigma = float(w[0]), float(w[1])
-    if sigma <= 0.0:
-        raise DomainError("toy landscape requires sigma > 0")
-    ks = [kl_univariate(mu, sigma, m, s) for m, s in zip(params.means, params.sigmas)]
-    exponents = [-k / (t * t) for k, t in zip(ks, params.temperatures)]
-    # log-sum-exp keeps the loss finite far from both basins
-    shift = max(exponents)
-    terms = [wt * math.exp(e - shift) for wt, e in zip(params.weights, exponents)]
-    total = terms[0] + terms[1]
-    loss = -(shift + math.log(total))
+    loss, grad = _toy_point(float(w[0]), float(w[1]), params)
+    return loss, np.array(grad)
 
-    dmu = 0.0
-    dsigma = 0.0
-    for term, t, m, s in zip(terms, params.temperatures, params.means, params.sigmas):
-        r = term / (total * t * t)
-        dmu += r * (mu - m) / (s * s)
-        dsigma += r * (-1.0 / sigma + sigma / (s * s))
-    return loss, np.array([dmu, dsigma])
+
+def _toy_point(mu: float, sigma: float, params: ToyLandscapeParams):
+    """Loss and gradient (d mu, d sigma) at one point, in scalar math."""
+    if not 0.0 < sigma < math.inf:
+        raise DomainError("toy landscape requires sigma > 0")
+    (m0, m1), (s0, s1) = params.means, params.sigmas
+    (c0, c1), (t0, t1) = params.weights, params.temperatures
+    e0 = -kl_univariate(mu, sigma, m0, s0) / (t0 * t0)
+    e1 = -kl_univariate(mu, sigma, m1, s1) / (t1 * t1)
+    # log-sum-exp keeps the loss finite far from both basins
+    shift = max(e0, e1)
+    a0 = c0 * math.exp(e0 - shift)
+    a1 = c1 * math.exp(e1 - shift)
+    total = a0 + a1
+    r0 = a0 / (total * t0 * t0)
+    r1 = a1 / (total * t1 * t1)
+    # each sum starts from 0.0, as an accumulating loop's does
+    dmu = 0.0 + r0 * (mu - m0) / (s0 * s0) + r1 * (mu - m1) / (s1 * s1)
+    dsigma = 0.0 + r0 * (-1.0 / sigma + sigma / (s0 * s0)) + r1 * (-1.0 / sigma + sigma / (s1 * s1))
+    return -(shift + math.log(total)), (dmu, dsigma)
 
 
 def toy_loss(w, params: ToyLandscapeParams = TOY_DEFAULT) -> float:
@@ -164,12 +215,16 @@ def toy_grad(w, params: ToyLandscapeParams = TOY_DEFAULT) -> np.ndarray:
 class ToyLandscape(Objective):
     """The two-minima (mu, sigma) landscape; batch-free and deterministic."""
 
+    accepts_stacks = True
+
     def __init__(self, params: ToyLandscapeParams = TOY_DEFAULT):
         self.params = params
         self.dim = 2
         self.num_examples = 1
 
     def loss_grad(self, w, batch: BatchSpec = FULL_BATCH) -> tuple[float, np.ndarray]:
+        if np.ndim(w) == 2:
+            return _by_row(lambda v: _toy_point(float(v[0]), float(v[1]), self.params), w)
         return _toy_eval(w, self.params)
 
 
@@ -194,6 +249,8 @@ class Quadratic(Objective):
     batch's rows of the center matrix.
     """
 
+    accepts_stacks = True
+
     def __init__(self, a, centers):
         self.a = as_vector(a)
         if np.any(self.a <= 0.0):
@@ -210,8 +267,15 @@ class Quadratic(Objective):
         self.num_examples = centers.shape[0]
 
     def loss_grad(self, w, batch: BatchSpec = FULL_BATCH) -> tuple[float, np.ndarray]:
-        w = as_vector(w, dim=self.dim)
+        stacked = np.ndim(w) == 2
+        if not stacked:
+            w = as_vector(w, dim=self.dim)
         centers = self.centers if batch.is_full else self.centers[batch.resolve(self.num_examples)]
+        if stacked:
+            return _by_row(lambda v: self._point(v, centers), w)
+        return self._point(w, centers)
+
+    def _point(self, w: np.ndarray, centers: np.ndarray) -> tuple[float, np.ndarray]:
         n = centers.shape[0]
         d = w - centers
         # each centre's terms are quadratic_eval's products, a * d before d,
@@ -234,16 +298,28 @@ def logistic_eval(features, labels, w, batch: BatchSpec = FULL_BATCH) -> tuple[f
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     w = as_vector(w, dim=X.shape[1])
+    return _logistic_point(*_gather(X, y, batch), w)
+
+
+def _gather(X: np.ndarray, y: np.ndarray, batch: BatchSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's rows; the full batch is the data itself, not a copy."""
+    if batch.is_full:
+        return X, y
     idx = batch.resolve(X.shape[0])
-    Xb, yb = X[idx], y[idx]
+    return X[idx], y[idx]
+
+
+def _logistic_point(Xb: np.ndarray, yb: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
     z = Xb @ w
     loss = float(np.mean(np.logaddexp(0.0, z) - yb * z))
-    grad = Xb.T @ (_sigmoid(z) - yb) / len(idx)
+    grad = Xb.T @ (_sigmoid(z) - yb) / len(yb)
     return loss, grad
 
 
 class Logistic(Objective):
     """Binary logistic regression over an in-memory dataset."""
+
+    accepts_stacks = True
 
     def __init__(self, features, labels):
         X = np.asarray(features, dtype=np.float64)
@@ -262,6 +338,10 @@ class Logistic(Objective):
         self.num_examples = X.shape[0]
 
     def loss_grad(self, w, batch: BatchSpec = FULL_BATCH) -> tuple[float, np.ndarray]:
+        if np.ndim(w) == 2:
+            # one gather for the stack, then the point arithmetic per row
+            Xb, yb = _gather(self.features, self.labels, batch)
+            return _by_row(lambda v: _logistic_point(Xb, yb, v), w)
         return logistic_eval(self.features, self.labels, w, batch)
 
     @classmethod

@@ -4,6 +4,14 @@ Seed streams: [seed, 0] initializes w, [seed, 1, t] draws step t's batch,
 [seed, 2] synthesizes datasets, [seed, 3] starts power iteration. Every
 stream is addressed independently, so runs replay bitwise on the same
 machine and numpy/BLAS build.
+
+One step loop, ``_advance``, advances a (K, d) stack of runs that share a
+seed: one ``step`` call per step for the whole stack. ``run`` is its
+one-row case. ``sweep`` groups its grid cells by seed, builds each group's
+objective once and advances the group's cells together; since every row is
+evaluated with the point arithmetic, each sweep row equals the ``run`` of
+its cell bit for bit. A row that fails is frozen at its failing step while
+the others carry on.
 """
 from __future__ import annotations
 
@@ -17,7 +25,7 @@ import numpy as np
 from .analysis import StepRecord, Trajectory, classify_minimum, power_iteration
 from .base_optimizers import BaseOptState
 from .config import RunConfig, SweepSpec
-from .core import DomainError, l2_norm
+from .core import as_vector, l2_norm
 from .objectives import (
     FULL_BATCH,
     SEED_STREAM_INIT,
@@ -25,9 +33,10 @@ from .objectives import (
     Logistic,
     Objective,
     Quadratic,
+    RowByRow,
     ToyLandscape,
 )
-from .sam import step
+from .sam import SamConfig, StepOutput, step
 
 SNAPSHOT_DIM_LIMIT = 16
 
@@ -67,6 +76,66 @@ def initial_w(cfg: RunConfig, obj: Objective) -> np.ndarray:
     return cfg.init_scale * rng.standard_normal(obj.dim)
 
 
+def _failure(out: StepOutput, k: int, t: int) -> str:
+    """Why row k of a step's output failed, as run reports it."""
+    if not np.isfinite(out.loss_at_w[k]):
+        return f"non-finite loss at step {t}"
+    if out.perturbed_w is not None and not np.isfinite(out.perturbed_w[k]).all():
+        return f"step {t} left the objective's domain: vector entries must be finite"
+    return f"non-finite iterate at step {t}"
+
+
+def _advance(cfgs: list[RunConfig], obj: Objective, on_step=None):
+    """Advance the runs of cfgs together as one (K, d) stack; the one step loop.
+
+    The configs share everything but gamma, rho and alpha. A row fails at
+    step t when its loss there, its perturbed point, its new point or its
+    base state is not finite; it is then frozen at its last finite point
+    and the others carry on. on_step(t, out, ok) sees every step's output
+    and which of the stepped rows survived it. Returns the final points and,
+    per row, None or (failed step, reason).
+    """
+    cfg = cfgs[0]
+    if not obj.accepts_stacks:
+        obj = RowByRow(obj)
+    sam_cfg = SamConfig.stack([c.sam_config() for c in cfgs])
+    base_cfg = cfg.base_config()
+    state = BaseOptState(dim=obj.dim)
+    sampler = None
+    if cfg.batch_size is not None:
+        sampler = BatchSampler(
+            seed=cfg.seed, batch_size=cfg.batch_size, num_examples=obj.num_examples
+        )
+    w0 = as_vector(initial_w(cfg, obj), dim=obj.dim)
+    W = np.tile(w0, (len(cfgs), 1))
+    final = W.copy()
+    live = np.arange(len(cfgs))  # the row of cfgs each stack row runs
+    failures: list[tuple[int, str] | None] = [None] * len(cfgs)
+
+    for t in range(1, cfg.steps + 1):
+        batch = sampler.batch_at(t) if sampler is not None else FULL_BATCH
+        # a failing row overflows or meets NaN; it is caught below, row by row
+        with np.errstate(all="ignore"):
+            out = step(obj, W, batch, state, base_cfg, sam_cfg, t)
+        ok = np.isfinite(out.loss_at_w) & np.isfinite(out.new_w).all(axis=1)
+        ok &= state.finite_rows()
+        if on_step is not None:
+            on_step(t, out, ok)
+        if ok.all():
+            W = out.new_w
+            continue
+        for k in np.flatnonzero(~ok):
+            failures[live[k]] = (t, _failure(out, k, t))
+            final[live[k]] = W[k]
+        if not ok.any():
+            return final, failures
+        W, live = out.new_w[ok], live[ok]
+        sam_cfg = sam_cfg.rows(ok)
+        state.keep_rows(ok)
+    final[live] = W
+    return final, failures
+
+
 def run(cfg: RunConfig, obj: Objective | None = None) -> Trajectory:
     """Execute cfg.steps steps; raises NumericBlowup when w or loss leaves R.
 
@@ -77,47 +146,28 @@ def run(cfg: RunConfig, obj: Objective | None = None) -> Trajectory:
     """
     if obj is None:
         obj = build_objective(cfg)
-    sam_cfg = cfg.sam_config()
-    base_cfg = cfg.base_config()
-    state = BaseOptState(dim=obj.dim)
-    sampler = None
-    if cfg.batch_size is not None:
-        sampler = BatchSampler(
-            seed=cfg.seed, batch_size=cfg.batch_size, num_examples=obj.num_examples
-        )
     keep_w = obj.dim <= SNAPSHOT_DIM_LIMIT
-
-    w = initial_w(cfg, obj)
     records: list[StepRecord] = []
 
-    def partial() -> Trajectory | None:
-        if not records:
-            return None
-        return Trajectory(records=tuple(records), final_w=records[-1].w if keep_w else w)
-
-    for t in range(1, cfg.steps + 1):
-        batch = sampler.batch_at(t) if sampler is not None else FULL_BATCH
-        try:
-            # overflow on a diverging run is reported below; the warning is noise
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = step(obj, w, batch, state, base_cfg, sam_cfg, t)
-        except DomainError as exc:
-            raise NumericBlowup(
-                f"step {t} left the objective's domain: {exc}", t, partial()
-            ) from exc
-        if not np.isfinite(out.loss_at_w) or not np.isfinite(out.new_w).all():
-            raise NumericBlowup(f"non-finite iterate at step {t}", t, partial())
-        records.append(
-            StepRecord(
-                t=t,
-                loss=out.loss_at_w,
-                grad_norm=out.grad_tilde_norm,
-                sharpness=out.sharpness_term,
-                w=out.new_w if keep_w else None,
+    def record(t: int, out: StepOutput, ok: np.ndarray) -> None:
+        if ok[0]:
+            sharpness = out.sharpness_term
+            records.append(
+                StepRecord(
+                    t=t,
+                    loss=float(out.loss_at_w[0]),
+                    grad_norm=float(out.grad_tilde_norm[0]),
+                    sharpness=None if sharpness is None else float(sharpness[0]),
+                    w=out.new_w[0] if keep_w else None,
+                )
             )
-        )
-        w = out.new_w
-    return Trajectory(records=tuple(records), final_w=w)
+
+    final, (failure,) = _advance([cfg], obj, record)
+    if failure is not None:
+        failed_step, reason = failure
+        partial = Trajectory(records=tuple(records), final_w=final[0]) if records else None
+        raise NumericBlowup(reason, failed_step, partial)
+    return Trajectory(records=tuple(records), final_w=final[0])
 
 
 @dataclass(frozen=True)
@@ -134,35 +184,47 @@ class SweepRow:
 
 
 def sweep(cfg: RunConfig, spec: SweepSpec) -> list[SweepRow]:
-    """One run per grid cell, in grid order; a diverging cell does not stop the rest.
+    """One row per grid cell, in grid order; a diverging cell does not stop the rest.
 
-    A cell is diverged when its run blows up, or when its final full-batch loss
-    is non-finite or above the full-batch loss at its initial point.
+    The cells of one seed share their objective and step together as one
+    stack. A cell is diverged when its run blows up, or when its final
+    full-batch loss is non-finite or above the full-batch loss at its
+    initial point.
     """
     gammas = spec.gammas or (cfg.gamma,)
     rhos = spec.rhos or (cfg.rho,)
     alphas = spec.alphas or (cfg.alpha,)
     seeds = spec.seeds or (cfg.seed,)
     cells = list(itertools.product(gammas, rhos, alphas, seeds))
+    rows: list[SweepRow | None] = [None] * len(cells)
+    for seed in dict.fromkeys(seeds):
+        group = [i for i, cell in enumerate(cells) if cell[3] == seed]
+        cfgs = [
+            replace(cfg, gamma=g, rho=r, alpha=a, seed=seed, out=None)
+            for g, r, a, _ in (cells[i] for i in group)
+        ]
+        obj = build_objective(cfgs[0])
+        final, failures = _advance(cfgs, obj)
+        start_loss = obj.loss(initial_w(cfgs[0], obj))
+        for i, rcfg, w, failure in zip(group, cfgs, final, failures):
+            rows[i] = _row(rcfg, spec, obj, w, failure is None, start_loss)
+    return rows
 
-    def one(cell) -> SweepRow:
-        gamma, rho, alpha, seed = cell
-        rcfg = replace(cfg, gamma=gamma, rho=rho, alpha=alpha, seed=seed, out=None)
-        obj = build_objective(rcfg)
-        try:
-            traj = run(rcfg, obj)
-        except NumericBlowup:
-            return SweepRow(gamma, rho, alpha, seed, "diverged")
-        loss, grad = obj.loss_grad(traj.final_w)
-        if not math.isfinite(loss) or loss > obj.loss(initial_w(rcfg, obj)):
-            return SweepRow(gamma, rho, alpha, seed, "diverged")
-        lam = None
-        if spec.eig:
-            lam = power_iteration(obj, traj.final_w, seed=seed).lambda_max
-        minimum = classify_minimum(traj.final_w) if rcfg.objective.kind == "toy" else None
-        return SweepRow(gamma, rho, alpha, seed, "ok", loss, l2_norm(grad), lam, minimum)
 
-    return [one(c) for c in cells]
+def _row(cfg: RunConfig, spec: SweepSpec, obj: Objective, w, finished: bool,
+         start_loss: float) -> SweepRow:
+    """A cell's row from its final point."""
+    cell = (cfg.gamma, cfg.rho, cfg.alpha, cfg.seed)
+    if not finished:
+        return SweepRow(*cell, "diverged")
+    loss, grad = obj.loss_grad(w)
+    if not math.isfinite(loss) or loss > start_loss:
+        return SweepRow(*cell, "diverged")
+    lam = None
+    if spec.eig:
+        lam = power_iteration(obj, w, seed=cfg.seed).lambda_max
+    minimum = classify_minimum(w) if cfg.objective.kind == "toy" else None
+    return SweepRow(*cell, "ok", loss, l2_norm(grad), lam, minimum)
 
 
 def _fmt(x: float | None) -> str:

@@ -8,15 +8,22 @@ correction gamma/(1-gamma) * (g - g_tilde) outside it, unpreconditioned;
 h = gamma/(1-gamma) * g + (1-2gamma)/(1-gamma) * g_tilde; "vanilla" skips
 the perturbation entirely. ``step_sgd_wsam`` is the base-free closed form
 of the blended step. Both gradients of a step always use the same batch.
+
+The step is row-wise: w may be one point or a (K, d) stack of K runs that
+share the batch, with ``SamConfig.stack`` holding their gamma, rho and alpha
+as (K, 1) columns. Each row gets the bits it would get alone. A step does
+not re-check its points: the run loop checks shapes once and each new point
+for finiteness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .base_optimizers import BaseOptConfig, BaseOptState, apply_update, compute_direction
-from .core import IDENTITY, Schedule, as_vector, constant, l2_norm, precond_solve
+from .core import IDENTITY, Schedule, as_vector, constant, holds, precond_solve, row_norms
 from .objectives import FULL_BATCH, BatchSpec, Objective
 
 VANILLA = "vanilla"
@@ -28,13 +35,17 @@ MODES = (VANILLA, SAM, WSAM, COUPLED)
 
 @dataclass(frozen=True)
 class SamConfig:
-    """Stepping hyperparameters; vanilla mode ignores rho, gamma, adaptive."""
+    """Stepping hyperparameters; vanilla mode ignores rho, gamma, adaptive.
+
+    gamma, rho and the schedules' bases are reals, or (K, 1) columns in a
+    config built by ``stack``.
+    """
 
     alpha_schedule: Schedule
     mode: str = SAM
-    rho: float = 0.0
+    rho: float | np.ndarray = 0.0
     rho_schedule: Schedule | None = None
-    gamma: float = 0.0
+    gamma: float | np.ndarray = 0.0
     sam_eps: float = 1e-12
     adaptive: bool = False
     clip_norm: float | None = None
@@ -42,9 +53,9 @@ class SamConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not self.rho >= 0.0:
+        if not holds(self.rho >= 0.0):
             raise ValueError("rho must be >= 0")
-        if not 0.0 <= self.gamma < 1.0:
+        if not holds((self.gamma >= 0.0) & (self.gamma < 1.0)):
             raise ValueError("gamma must be in [0,1)")
         if not self.sam_eps > 0.0:
             raise ValueError("sam_eps must be > 0")
@@ -53,53 +64,105 @@ class SamConfig:
         if self.rho_schedule is None:
             object.__setattr__(self, "rho_schedule", constant(self.rho))
 
-    def alpha_at(self, t: int) -> float:
+    def alpha_at(self, t: int) -> float | np.ndarray:
         return self.alpha_schedule.value_at(t)
 
-    def rho_at(self, t: int) -> float:
+    def rho_at(self, t: int) -> float | np.ndarray:
         return self.rho_schedule.value_at(t)
+
+    @functools.cached_property
+    def coefficients(self) -> tuple:
+        """gamma_coefficients of gamma, real or column."""
+        return _coefficients(self.gamma)
+
+    @staticmethod
+    def stack(configs: list[SamConfig]) -> SamConfig:
+        """One config for a stack of runs: their gamma, rho and alpha as (K, 1) columns.
+
+        The configs may differ only in those three values.
+        """
+        first = configs[0]
+        shared = {(c.mode, c.sam_eps, c.adaptive, c.clip_norm,
+                   c.rho_schedule.kind, c.alpha_schedule.kind) for c in configs}
+        if len(shared) != 1:
+            raise ValueError("stacked configs may differ only in gamma, rho and alpha")
+
+        def column(values) -> np.ndarray:
+            return np.array(values, dtype=np.float64).reshape(-1, 1)
+
+        return replace(
+            first,
+            gamma=column([c.gamma for c in configs]),
+            rho=column([c.rho for c in configs]),
+            rho_schedule=Schedule(first.rho_schedule.kind,
+                                  column([c.rho_schedule.base for c in configs])),
+            alpha_schedule=Schedule(first.alpha_schedule.kind,
+                                    column([c.alpha_schedule.base for c in configs])),
+        )
+
+    def rows(self, keep: np.ndarray) -> SamConfig:
+        """The stacked config of the rows where keep is True."""
+        rho, alpha = self.rho_schedule, self.alpha_schedule
+        return replace(
+            self, gamma=self.gamma[keep], rho=self.rho[keep],
+            rho_schedule=Schedule(rho.kind, rho.base[keep]),
+            alpha_schedule=Schedule(alpha.kind, alpha.base[keep]),
+        )
 
 
 @dataclass(frozen=True)
 class StepOutput:
+    """What a step saw and produced; per-row arrays when it stepped a stack.
+
+    perturbed_w is the point w + delta of the second evaluation (None for vanilla).
+    """
+
     new_w: np.ndarray
-    loss_at_w: float
-    grad_tilde_norm: float
-    sharpness_term: float | None = None
+    loss_at_w: float | np.ndarray
+    grad_tilde_norm: float | np.ndarray
+    sharpness_term: float | np.ndarray | None = None
+    perturbed_w: np.ndarray | None = None
+
+
+def _coefficients(gamma):
+    return gamma / (1.0 - gamma), (1.0 - 2.0 * gamma) / (1.0 - gamma)
 
 
 def gamma_coefficients(gamma: float) -> tuple[float, float]:
     """The pair (gamma/(1-gamma), (1-2gamma)/(1-gamma)); always sums to 1."""
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must be in [0,1)")
-    return gamma / (1.0 - gamma), (1.0 - 2.0 * gamma) / (1.0 - gamma)
+    return _coefficients(gamma)
 
 
-def perturb(w, g_tilde, rho_t: float, eps: float, adaptive: bool = False) -> np.ndarray:
-    """Ascent offset delta; norm-capped at rho_t in the standard rule."""
-    w = as_vector(w)
-    g_tilde = as_vector(g_tilde, dim=w.size)
-    if rho_t < 0.0:
+def _norms(v: np.ndarray) -> np.ndarray:
+    """row_norms as a column, to divide the rows of v by."""
+    return row_norms(v)[..., None]
+
+
+def perturb(w, g_tilde, rho_t, eps: float, adaptive: bool = False) -> np.ndarray:
+    """Ascent offset delta, row by row; norm-capped at rho_t in the standard rule."""
+    if np.less(rho_t, 0.0).any():
         raise ValueError("rho_t must be >= 0")
     if eps <= 0.0:
         raise ValueError("eps must be > 0")
     if adaptive:
         scaled = np.abs(w) * g_tilde
-        return rho_t * (w * w * g_tilde) / (l2_norm(scaled) + eps)
-    return rho_t * g_tilde / (l2_norm(g_tilde) + eps)
+        return rho_t * (w * w * g_tilde) / (_norms(scaled) + eps)
+    return rho_t * g_tilde / (_norms(g_tilde) + eps)
 
 
 def clip_to_norm(g, max_norm: float | None) -> np.ndarray:
-    """Scale g onto the max_norm ball; None or an in-ball g passes unchanged."""
-    g = as_vector(g)
+    """Scale each row of g onto the max_norm ball; None or an in-ball g passes unchanged."""
     if max_norm is None:
         return g
     if max_norm <= 0.0:
         raise ValueError("max_norm must be > 0")
-    norm = l2_norm(g)
-    if norm > max_norm:
-        return g * (max_norm / norm)
-    return g
+    norm = _norms(g)
+    over = norm > max_norm
+    if not over.any():
+        return g
+    return np.where(over, g * (max_norm / norm), g)
 
 
 def sharpness_estimate(
@@ -138,27 +201,26 @@ def _step(
 ) -> StepOutput:
     """The one step skeleton; no base state means the identity base."""
     loss, g_tilde = obj.loss_grad(w, batch)
-    fed, sharpness = g_tilde, None
+    fed, sharpness, w_adv = g_tilde, None, None
     if mode != VANILLA:
-        delta = perturb(w, g_tilde, sam_cfg.rho_at(t), sam_cfg.sam_eps, sam_cfg.adaptive)
-        loss_adv, g = obj.loss_grad(as_vector(w) + delta, batch)
+        w_adv = w + perturb(w, g_tilde, sam_cfg.rho_at(t), sam_cfg.sam_eps, sam_cfg.adaptive)
+        loss_adv, g = obj.loss_grad(w_adv, batch)
         sharpness = loss_adv - loss
         if mode == SAM:
             fed = g
         elif mode == COUPLED:
-            c_adv, c_clean = gamma_coefficients(sam_cfg.gamma)
+            c_adv, c_clean = sam_cfg.coefficients
             fed = c_adv * g + c_clean * g_tilde
     fed = clip_to_norm(fed, sam_cfg.clip_norm)
     m, b = (fed, IDENTITY) if state is None else compute_direction(state, base_cfg, fed)
     if mode == WSAM:
-        coeff = sam_cfg.gamma / (1.0 - sam_cfg.gamma)
         # the sharpness correction rides outside the base update: raw alpha_t,
         # no preconditioning, and never clipped
-        direction = precond_solve(b, m) + coeff * (g - g_tilde)
-        new_w = as_vector(w) - sam_cfg.alpha_at(t) * direction
+        direction = precond_solve(b, m) + sam_cfg.coefficients[0] * (g - g_tilde)
+        new_w = w - sam_cfg.alpha_at(t) * direction
     else:
         new_w = apply_update(w, sam_cfg.alpha_at(t), m, b)
-    return StepOutput(new_w, loss, l2_norm(g_tilde), sharpness)
+    return StepOutput(new_w, loss, row_norms(g_tilde), sharpness, w_adv)
 
 
 def step(

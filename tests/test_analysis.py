@@ -253,3 +253,13 @@ def test_classify_minimum():
     assert classify_minimum([0.0, 20.0]) == SHARP
     with pytest.raises(ValueError):
         classify_minimum([1.0, 2.0, 3.0])
+
+
+def test_the_frozen_toy_minima_are_what_descent_finds():
+    from sharpopt.analysis import _locate_toy_minima
+
+    found, frozen = _locate_toy_minima(), toy_minima()
+    for name in ("sharp_w", "flat_w"):
+        assert np.allclose(getattr(found, name), getattr(frozen, name), rtol=1e-12, atol=0)
+    for name in ("sharp_loss", "flat_loss"):
+        assert math.isclose(getattr(found, name), getattr(frozen, name), rel_tol=1e-12)

@@ -173,3 +173,10 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "step,loss,grad_norm,sharpness,w_0,w_1"
+
+
+def test_an_out_of_range_noise_fraction_exits_one(tmp_path, capfd):
+    doc = "[objective]\nkind = logistic\nnoise_fraction = 1.5\n"
+    code = main(["run", "--config", write(tmp_path, doc)])
+    assert code == 1
+    assert "noise_fraction must be in [0,1)" in capfd.readouterr().err

@@ -182,3 +182,18 @@ def test_toy_preset_fields():
 def test_sweep_spec_defaults_are_empty_grids():
     spec = SweepSpec()
     assert spec.gammas == () and spec.eig is False
+
+
+@pytest.mark.parametrize("fields", [
+    {"kind": "logistic", "noise_fraction": 1.5},
+    {"kind": "logistic", "noise_fraction": -0.1},
+    {"kind": "logistic", "num_examples": 0},
+    {"kind": "logistic", "dim": 0},
+    {"kind": "quadratic", "a": (1.0, 2.0), "centers": ((0.0,),)},
+    {"kind": "cubic"},
+])
+def test_objective_spec_checks_its_ranges_when_constructed(fields):
+    from sharpopt.config import ObjectiveSpec
+
+    with pytest.raises(ConfigError):
+        RunConfig(objective=ObjectiveSpec(**fields))

@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 per fixed group of sharpopt outputs.
+
+Each group runs a fixed, seeded set of runs, sweeps or CLI invocations and
+hashes their emitted text, so two checkouts whose digests agree give
+byte-identical output on every group. To check that a refactor changes no
+output, run this script against both checkouts' sources and diff:
+
+    PYTHONPATH=src python3 scripts/output_digest.py > change.txt
+    PYTHONPATH=/path/to/parent/src python3 scripts/output_digest.py > parent.txt
+    diff parent.txt change.txt
+
+A run that blows up is hashed as its failed step, its message and its last
+finite record, so failure paths are covered too. Takes a few seconds.
+"""
+import contextlib
+import hashlib
+import io
+import itertools
+from dataclasses import replace
+
+from sharpopt import cli
+from sharpopt.config import ObjectiveSpec, RunConfig, SweepSpec, toy_preset
+from sharpopt.runner import NumericBlowup, format_sweep, format_trajectory, run, sweep
+
+MODES = ("vanilla", "sam", "wsam", "coupled")
+BASES = ("sgd", "sgdm", "adam")
+
+
+def _digest(texts) -> str:
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode("utf-8"))
+    return h.hexdigest()
+
+
+def _run_text(cfg: RunConfig, fmt: str) -> str:
+    try:
+        return format_trajectory(run(cfg), fmt)
+    except NumericBlowup as exc:
+        rec = exc.last_finite_record
+        last = "none" if rec is None else f"{rec.t} {rec.loss!r} {rec.grad_norm!r}"
+        return f"blowup {exc.failed_step} {exc} last {last}\n"
+
+
+def toy_sweeps():
+    """4 modes x rho in {1, 2} x 20 gammas x 2 seeds of the toy preset, with eig."""
+    gammas = tuple(round(0.05 * i, 2) for i in range(20))
+    for rho, mode in itertools.product((1.0, 2.0), MODES):
+        cfg = replace(toy_preset(gamma=0.5, mode=mode, steps=150, seed=1234), rho=rho)
+        yield sweep(cfg, SweepSpec(gammas=gammas, seeds=(1234, 98765), eig=True))
+
+
+def toy_runs():
+    """4 modes x 3 bases x clip off/on x adaptive off/on x 2 radii; some blow up."""
+    for mode, base, clip, adaptive, rho in itertools.product(
+        MODES, BASES, (None, 1.0), (False, True), (0.5, 2.0)
+    ):
+        yield RunConfig(objective=ObjectiveSpec(kind="toy"), mode=mode, base_kind=base,
+                        alpha=5.0, rho=rho, gamma=0.8, clip_norm=clip, adaptive=adaptive,
+                        steps=150, init=(-6.0, 10.0))
+
+
+def logistic_runs():
+    """Mini-batch logistic runs, 4 modes x 3 bases."""
+    for mode, base in itertools.product(MODES, BASES):
+        yield RunConfig(objective=ObjectiveSpec(kind="logistic", num_examples=64, dim=6),
+                        mode=mode, base_kind=base, alpha=0.05, rho=0.05, gamma=0.7,
+                        batch_size=8, steps=60, seed=5, init=None)
+
+
+def logistic_sweeps():
+    """A mini-batch adam logistic sweep with eig per mode, 2 seeds."""
+    spec = SweepSpec(gammas=(0.0, 0.5, 0.9), rhos=(0.05, 0.5), seeds=(0, 3), eig=True)
+    for mode in MODES:
+        cfg = RunConfig(objective=ObjectiveSpec(kind="logistic", num_examples=64, dim=6),
+                        mode=mode, base_kind="adam", alpha=0.05, rho=0.05, batch_size=8,
+                        steps=40, init=None)
+        yield format_sweep(sweep(cfg, spec))
+
+
+def quadratic_sweeps():
+    """Batch-2 quadratic sweeps, 4 modes x 3 bases; the alpha = 50 rows blow up."""
+    spec = SweepSpec(gammas=(0.0, 0.5), alphas=(0.1, 50.0), seeds=(0, 1), eig=True)
+    for mode, base in itertools.product(MODES, BASES):
+        cfg = RunConfig(
+            objective=ObjectiveSpec(kind="quadratic", a=(2.0, 1.0),
+                                    centers=((1.0, -1.0), (0.5, 0.5), (-1.0, 2.0), (0.0, 0.3))),
+            mode=mode, base_kind=base, rho=0.2, batch_size=2, steps=100, init=None,
+            init_scale=4.0,
+        )
+        yield format_sweep(sweep(cfg, spec))
+
+
+def cli_toy():
+    """stdout of `sharpopt toy` for gamma in {0, 0.6, 0.95} x 4 modes."""
+    for gamma, mode in itertools.product(("0", "0.6", "0.95"), MODES):
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["toy", "--gamma", gamma, "--mode", mode])
+        out.flush()
+        yield f"exit {code}\n" + out.buffer.getvalue().decode("utf-8")
+
+
+def main() -> int:
+    sweeps = list(toy_sweeps())
+    groups = {
+        "toy_sweep_csv": (format_sweep(rows, "csv") for rows in sweeps),
+        "toy_sweep_jsonl": (format_sweep(rows, "jsonl") for rows in sweeps),
+        "toy_runs_csv": (_run_text(cfg, "csv") for cfg in toy_runs()),
+        "toy_runs_jsonl": (_run_text(cfg, "jsonl") for cfg in toy_runs()),
+        "logistic_runs": (
+            _run_text(cfg, fmt) for cfg in logistic_runs() for fmt in ("csv", "jsonl")
+        ),
+        "logistic_sweeps": logistic_sweeps(),
+        "quadratic_sweeps": quadratic_sweeps(),
+        "cli_toy": cli_toy(),
+    }
+    for name, texts in groups.items():
+        print(f"{name} {_digest(texts)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -94,10 +94,8 @@ def _cmd_run(args) -> int:
     obj = build_objective(cfg)
     traj = run(cfg, obj)
     text = format_trajectory(traj, cfg.out_format, cfg.record_every)
-    summary = (
-        f"steps={cfg.steps} final_loss={obj.loss(traj.final_w):.6g} "
-        f"final_grad_norm={l2_norm(obj.grad(traj.final_w)):.6g}"
-    )
+    loss, grad = obj.loss_grad(traj.final_w)
+    summary = f"steps={cfg.steps} final_loss={loss:.6g} final_grad_norm={l2_norm(grad):.6g}"
     if cfg.objective.kind == "toy":
         summary += f" minimum={classify_minimum(traj.final_w)}"
     if cfg.out is not None:
@@ -124,11 +122,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_toy(args) -> int:
-    cfg = toy_preset(gamma=args.gamma, mode=args.mode, steps=args.steps, seed=args.seed)
-    if args.record_every < 1:
-        raise ConfigError("record_every must be >= 1")
+    cfg = dataclasses.replace(
+        toy_preset(gamma=args.gamma, mode=args.mode, steps=args.steps, seed=args.seed),
+        record_every=args.record_every,
+    )
     traj = run(cfg)
-    text = format_trajectory(traj, args.format, args.record_every)
+    text = format_trajectory(traj, args.format, cfg.record_every)
     if args.out is not None:
         n = emit(text, args.out)
         print(f"minimum={classify_minimum(traj.final_w)} wrote={n}B path={args.out}")

@@ -159,18 +159,14 @@ def _bool(section: str, key: str, raw: str) -> bool:
     raise ConfigError(f"{key} in [{section}] must be a boolean, got {raw!r}")
 
 
-def _float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(f"{key} in [{section}] must be a comma-separated list")
-    return tuple(_float(section, key, p) for p in parts)
-
-
-def _int_list(section: str, key: str, raw: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(f"{key} in [{section}] must be a comma-separated list")
-    return tuple(_int(section, key, p) for p in parts)
+def _list(parse):
+    """A parser of a nonempty comma-separated list whose entries parse reads."""
+    def parse_list(section: str, key: str, raw: str) -> tuple:
+        parts = [p.strip() for p in raw.split(",") if p.strip()]
+        if not parts:
+            raise ConfigError(f"{key} in [{section}] must be a comma-separated list")
+        return tuple(parse(section, key, p) for p in parts)
+    return parse_list
 
 
 def _text(section: str, key: str, raw: str) -> str:
@@ -184,7 +180,7 @@ def _or_none(parse):
 
 def _init(section: str, key: str, raw: str) -> tuple[float, ...] | None:
     raw = raw.strip()
-    return None if raw in ("", "random") else _float_list(section, key, raw)
+    return None if raw in ("", "random") else _list(_float)(section, key, raw)
 
 
 # (section, INI key) -> (RunConfig field, parser of the raw value)
@@ -244,10 +240,10 @@ def _parse_objective(sec) -> ObjectiveSpec:
     if kind == "quadratic":
         fields = {}
         if "a" in sec:
-            fields["a"] = _float_list("objective", "a", sec["a"])
+            fields["a"] = _list(_float)("objective", "a", sec["a"])
         if "centers" in sec:
             rows = [r.strip() for r in sec["centers"].split("|") if r.strip()]
-            fields["centers"] = tuple(_float_list("objective", "centers", r) for r in rows)
+            fields["centers"] = tuple(_list(_float)("objective", "centers", r) for r in rows)
         spec = replace(spec, **fields)
     elif kind == "logistic":
         spec = replace(
@@ -266,7 +262,11 @@ def _parse_objective(sec) -> ObjectiveSpec:
 
 def parse_config(text: str) -> RunConfig:
     """Validate a config document into a RunConfig; raises ConfigError."""
-    parser = _read_document(text)
+    return _run_config(_read_document(text))
+
+
+def _run_config(parser: configparser.ConfigParser) -> RunConfig:
+    """The RunConfig of a read document; raises ConfigError."""
     objective = _parse_objective(parser["objective"])
     fields = {
         field: parse(section, key, parser[section][key])
@@ -288,30 +288,26 @@ def parse_config(text: str) -> RunConfig:
 
 def parse_sweep_config(text: str) -> tuple[RunConfig, SweepSpec]:
     """Parse a document that also carries a [sweep] section."""
-    cfg = parse_config(text)
     parser = _read_document(text)
+    cfg = _run_config(parser)
     if not parser.has_section("sweep"):
         raise ConfigError("missing [sweep] section")
     sec = parser["sweep"]
     spec = SweepSpec(
-        gammas=_float_list("sweep", "gamma", sec["gamma"]) if "gamma" in sec else (),
-        rhos=_float_list("sweep", "rho", sec["rho"]) if "rho" in sec else (),
-        alphas=_float_list("sweep", "alpha", sec["alpha"]) if "alpha" in sec else (),
-        seeds=tuple(_int_list("sweep", "seed", sec["seed"])) if "seed" in sec else (),
+        gammas=_list(_float)("sweep", "gamma", sec["gamma"]) if "gamma" in sec else (),
+        rhos=_list(_float)("sweep", "rho", sec["rho"]) if "rho" in sec else (),
+        alphas=_list(_float)("sweep", "alpha", sec["alpha"]) if "alpha" in sec else (),
+        seeds=_list(_int)("sweep", "seed", sec["seed"]) if "seed" in sec else (),
         max_cells=_int("sweep", "max_cells", sec.get("max_cells", "10000")),
         eig=_bool("sweep", "eig", sec.get("eig", "false")),
     )
     if spec.max_cells < 1:
         raise ConfigError("max_cells must be >= 1")
-    for field, values in (
-        ("gamma", spec.gammas), ("rho", spec.rhos), ("alpha", spec.alphas), ("seed", spec.seeds)
-    ):
+    grids = {"gamma": spec.gammas, "rho": spec.rhos, "alpha": spec.alphas, "seed": spec.seeds}
+    for field, values in grids.items():
         for value in values:
             replace(cfg, **{field: value})  # RunConfig checks the value's range
-    n_cells = (
-        max(1, len(spec.gammas)) * max(1, len(spec.rhos))
-        * max(1, len(spec.alphas)) * max(1, len(spec.seeds))
-    )
+    n_cells = math.prod(max(1, len(values)) for values in grids.values())
     if n_cells > spec.max_cells:
         raise ConfigError(f"sweep has {n_cells} cells, above the cap {spec.max_cells}")
     return cfg, spec

@@ -59,19 +59,12 @@ def row_norms(v) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
-def linf_norm(v) -> float:
-    out = 0.0
-    for x in v:
-        out = max(out, abs(x))
-    return float(out)
-
-
 @dataclass(frozen=True)
 class DiagPrecond:
     """Diagonal preconditioner with strictly positive entries.
 
-    ``diag=None`` marks the exact identity: solves and applies return the
-    input unchanged, bit for bit, so plain-gradient steps incur no division.
+    ``diag=None`` marks the exact identity: a solve returns the input
+    unchanged, bit for bit, so plain-gradient steps incur no division.
     The diagonal may be a vector or one row per row of a (K, d) stack; a
     non-finite row is the caller's to catch, so one bad row never fails a stack.
     """
@@ -85,19 +78,8 @@ class DiagPrecond:
                 raise ValueError("preconditioner diagonal entries must be > 0")
             object.__setattr__(self, "diag", d)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.diag is None
-
 
 IDENTITY = DiagPrecond()
-
-
-def precond_apply(b: DiagPrecond, m: np.ndarray) -> np.ndarray:
-    if b.diag is None:
-        return m
-    _check_same_dim(b.diag, m)
-    return m * b.diag
 
 
 def precond_solve(b: DiagPrecond, m: np.ndarray) -> np.ndarray:

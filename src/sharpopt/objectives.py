@@ -1,10 +1,11 @@
 """Built-in differentiable test problems behind one evaluation contract.
 
 Every objective exposes ``loss_grad(w, batch)`` returning the batch loss and
-its exact analytic gradient. The built-in ones also take a (K, d) stack of
-points and evaluate it row by row with the same arithmetic, so each row gets
-the bits it would get alone. ``finite_diff_grad`` is the central-difference
-oracle the analytic gradients are checked against.
+its exact analytic gradient. Each built-in one prepares the batch's data and
+hands its point function to one dispatch, ``_evaluate``, which applies it to
+a checked point or to each row of a (K, d) stack, so each row gets the bits
+it would get alone. ``finite_diff_grad`` is the central-difference oracle the
+analytic gradients are checked against.
 """
 from __future__ import annotations
 
@@ -131,6 +132,18 @@ def _by_row(evaluate, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return losses, grads
 
 
+def _evaluate(point, w, dim: int) -> tuple:
+    """The one evaluation dispatch: a (K, d) stack row by row, or one checked point.
+
+    point(v) evaluates one float64 vector v; the gradient may be any sequence
+    of reals. A point is checked with ``as_vector`` first, a stack is not.
+    """
+    if np.ndim(w) == 2:
+        return _by_row(point, w)
+    loss, grad = point(as_vector(w, dim=dim))
+    return loss, np.asarray(grad)
+
+
 class RowByRow(Objective):
     """A point-only objective seen through stacks: one inner call per row."""
 
@@ -142,7 +155,7 @@ class RowByRow(Objective):
         self.num_examples = inner.num_examples
 
     def loss_grad(self, w, batch: BatchSpec = FULL_BATCH):
-        return _by_row(lambda v: self.inner.loss_grad(v, batch), w)
+        return _evaluate(lambda v: self.inner.loss_grad(v, batch), w, self.dim)
 
 
 def kl_univariate(mu: float, sigma: float, mu_i: float, sigma_i: float) -> float:
@@ -177,14 +190,9 @@ class ToyLandscapeParams:
 TOY_DEFAULT = ToyLandscapeParams()
 
 
-def _toy_eval(w, params: ToyLandscapeParams) -> tuple[float, np.ndarray]:
-    w = as_vector(w, dim=2)
-    loss, grad = _toy_point(float(w[0]), float(w[1]), params)
-    return loss, np.array(grad)
-
-
-def _toy_point(mu: float, sigma: float, params: ToyLandscapeParams):
-    """Loss and gradient (d mu, d sigma) at one point, in scalar math."""
+def _toy_point(w, params: ToyLandscapeParams):
+    """Loss and gradient (d mu, d sigma) at one point w = (mu, sigma), in scalar math."""
+    mu, sigma = float(w[0]), float(w[1])
     if not 0.0 < sigma < math.inf:
         raise DomainError("toy landscape requires sigma > 0")
     (m0, m1), (s0, s1) = params.means, params.sigmas
@@ -205,11 +213,11 @@ def _toy_point(mu: float, sigma: float, params: ToyLandscapeParams):
 
 
 def toy_loss(w, params: ToyLandscapeParams = TOY_DEFAULT) -> float:
-    return _toy_eval(w, params)[0]
+    return ToyLandscape(params).loss_grad(w)[0]
 
 
 def toy_grad(w, params: ToyLandscapeParams = TOY_DEFAULT) -> np.ndarray:
-    return _toy_eval(w, params)[1]
+    return ToyLandscape(params).loss_grad(w)[1]
 
 
 class ToyLandscape(Objective):
@@ -223,9 +231,7 @@ class ToyLandscape(Objective):
         self.num_examples = 1
 
     def loss_grad(self, w, batch: BatchSpec = FULL_BATCH) -> tuple[float, np.ndarray]:
-        if np.ndim(w) == 2:
-            return _by_row(lambda v: _toy_point(float(v[0]), float(v[1]), self.params), w)
-        return _toy_eval(w, self.params)
+        return _evaluate(lambda v: _toy_point(v, self.params), w, self.dim)
 
 
 def quadratic_eval(a, center, w) -> tuple[float, np.ndarray]:
@@ -267,13 +273,8 @@ class Quadratic(Objective):
         self.num_examples = centers.shape[0]
 
     def loss_grad(self, w, batch: BatchSpec = FULL_BATCH) -> tuple[float, np.ndarray]:
-        stacked = np.ndim(w) == 2
-        if not stacked:
-            w = as_vector(w, dim=self.dim)
         centers = self.centers if batch.is_full else self.centers[batch.resolve(self.num_examples)]
-        if stacked:
-            return _by_row(lambda v: self._point(v, centers), w)
-        return self._point(w, centers)
+        return _evaluate(lambda v: self._point(v, centers), w, self.dim)
 
     def _point(self, w: np.ndarray, centers: np.ndarray) -> tuple[float, np.ndarray]:
         n = centers.shape[0]
@@ -293,14 +294,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def logistic_eval(features, labels, w, batch: BatchSpec = FULL_BATCH) -> tuple[float, np.ndarray]:
-    """Mean sigmoid cross-entropy over a batch and its exact gradient."""
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    w = as_vector(w, dim=X.shape[1])
-    return _logistic_point(*_gather(X, y, batch), w)
-
-
 def _gather(X: np.ndarray, y: np.ndarray, batch: BatchSpec) -> tuple[np.ndarray, np.ndarray]:
     """The batch's rows; the full batch is the data itself, not a copy."""
     if batch.is_full:
@@ -310,6 +303,7 @@ def _gather(X: np.ndarray, y: np.ndarray, batch: BatchSpec) -> tuple[np.ndarray,
 
 
 def _logistic_point(Xb: np.ndarray, yb: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean sigmoid cross-entropy over the batch's rows and its exact gradient."""
     z = Xb @ w
     loss = float(np.mean(np.logaddexp(0.0, z) - yb * z))
     grad = Xb.T @ (_sigmoid(z) - yb) / len(yb)
@@ -338,11 +332,9 @@ class Logistic(Objective):
         self.num_examples = X.shape[0]
 
     def loss_grad(self, w, batch: BatchSpec = FULL_BATCH) -> tuple[float, np.ndarray]:
-        if np.ndim(w) == 2:
-            # one gather for the stack, then the point arithmetic per row
-            Xb, yb = _gather(self.features, self.labels, batch)
-            return _by_row(lambda v: _logistic_point(Xb, yb, v), w)
-        return logistic_eval(self.features, self.labels, w, batch)
+        # one gather for a stack, then the point arithmetic per row
+        Xb, yb = _gather(self.features, self.labels, batch)
+        return _evaluate(lambda v: _logistic_point(Xb, yb, v), w, self.dim)
 
     @classmethod
     def from_csv(cls, path, noise_fraction: float = 0.0, seed: int = 0) -> "Logistic":

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -206,18 +206,21 @@ def sweep(cfg: RunConfig, spec: SweepSpec) -> list[SweepRow]:
         obj = build_objective(cfgs[0])
         final, failures = _advance(cfgs, obj)
         start_loss = obj.loss(initial_w(cfgs[0], obj))
-        for i, rcfg, w, failure in zip(group, cfgs, final, failures):
-            rows[i] = _row(rcfg, spec, obj, w, failure is None, start_loss)
+        # a final point outside the domain reads NaN here, so its row is diverged
+        with np.errstate(all="ignore"):
+            losses, grads = obj.loss_grad(final)
+        ends = zip(final, losses.tolist(), grads)
+        for i, rcfg, (w, loss, grad), failure in zip(group, cfgs, ends, failures):
+            rows[i] = _row(rcfg, spec, obj, w, loss, grad, failure is None, start_loss)
     return rows
 
 
-def _row(cfg: RunConfig, spec: SweepSpec, obj: Objective, w, finished: bool,
-         start_loss: float) -> SweepRow:
-    """A cell's row from its final point."""
+def _row(cfg: RunConfig, spec: SweepSpec, obj: Objective, w, loss: float, grad,
+         finished: bool, start_loss: float) -> SweepRow:
+    """A cell's row from its final point and the full-batch loss and gradient there."""
     cell = (cfg.gamma, cfg.rho, cfg.alpha, cfg.seed)
     if not finished:
         return SweepRow(*cell, "diverged")
-    loss, grad = obj.loss_grad(w)
     if not math.isfinite(loss) or loss > start_loss:
         return SweepRow(*cell, "diverged")
     lam = None
@@ -227,81 +230,51 @@ def _row(cfg: RunConfig, spec: SweepSpec, obj: Objective, w, finished: bool,
     return SweepRow(*cell, "ok", loss, l2_norm(grad), lam, minimum)
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else format(x, ".17g")
+def _table(header: list[str], rows, fmt: str) -> str:
+    """Encode rows of values under header as CSV or JSONL.
 
+    A float is written with 17 significant digits, so it reads back bit for
+    bit; None is an empty CSV field or a JSON null; a string is quoted in
+    JSONL. Names and strings are the program's own words, which need no
+    escaping, so json is not imported at start-up.
+    """
+    if fmt not in ("csv", "jsonl"):
+        raise ValueError(f"unknown format {fmt!r}")
 
-def _fmt_json(x: float | None) -> str:
-    return "null" if x is None else format(x, ".17g")
+    def field(x) -> str:
+        if x is None:
+            return "" if fmt == "csv" else "null"
+        if isinstance(x, str):
+            return x if fmt == "csv" else f'"{x}"'
+        if isinstance(x, int):
+            return str(x)
+        return format(x, ".17g")
 
-
-def _selected(traj: Trajectory, record_every: int):
-    last_t = traj.records[-1].t
-    return [r for r in traj.records if r.t % record_every == 0 or r.t == last_t]
+    if fmt == "csv":
+        lines = [",".join(header)] + [",".join(field(x) for x in row) for row in rows]
+    else:
+        lines = [
+            "{" + ", ".join(f'"{k}": {field(x)}' for k, x in zip(header, row)) + "}" for row in rows
+        ]
+    return "\n".join(lines) + "\n"
 
 
 def format_trajectory(traj: Trajectory, fmt: str = "csv", record_every: int = 1) -> str:
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    recs = _selected(traj, record_every)
+    last_t = traj.records[-1].t
+    recs = [r for r in traj.records if r.t % record_every == 0 or r.t == last_t]
     with_w = all(r.w is not None for r in recs)
-    dim = recs[0].w.size if with_w else 0
-    lines = []
-    if fmt == "csv":
-        header = "step,loss,grad_norm,sharpness"
-        if with_w:
-            header += "," + ",".join(f"w_{i}" for i in range(dim))
-        lines.append(header)
-        for r in recs:
-            row = f"{r.t},{_fmt(r.loss)},{_fmt(r.grad_norm)},{_fmt(r.sharpness)}"
-            if with_w:
-                row += "," + ",".join(_fmt(x) for x in r.w)
-            lines.append(row)
-    elif fmt == "jsonl":
-        for r in recs:
-            parts = [
-                f'"step": {r.t}',
-                f'"loss": {_fmt_json(r.loss)}',
-                f'"grad_norm": {_fmt_json(r.grad_norm)}',
-                f'"sharpness": {_fmt_json(r.sharpness)}',
-            ]
-            if with_w:
-                parts.extend(f'"w_{i}": {_fmt_json(x)}' for i, x in enumerate(r.w))
-            lines.append("{" + ", ".join(parts) + "}")
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return "\n".join(lines) + "\n"
+    header = ["step", "loss", "grad_norm", "sharpness"]
+    if with_w:
+        header += [f"w_{i}" for i in range(recs[0].w.size)]
+    rows = ([r.t, r.loss, r.grad_norm, r.sharpness, *(r.w if with_w else ())] for r in recs)
+    return _table(header, rows, fmt)
 
 
 def format_sweep(rows: list[SweepRow], fmt: str = "csv") -> str:
-    lines = []
-    if fmt == "csv":
-        lines.append("gamma,rho,alpha,seed,status,final_loss,final_grad_norm,lambda_max,minimum")
-        for r in rows:
-            lines.append(
-                f"{_fmt(r.gamma)},{_fmt(r.rho)},{_fmt(r.alpha)},{r.seed},{r.status},"
-                f"{_fmt(r.final_loss)},{_fmt(r.final_grad_norm)},{_fmt(r.lambda_max)},"
-                f"{r.minimum or ''}"
-            )
-    elif fmt == "jsonl":
-        for r in rows:
-            minimum = "null" if r.minimum is None else f'"{r.minimum}"'
-            lines.append(
-                "{" + ", ".join([
-                    f'"gamma": {_fmt_json(r.gamma)}',
-                    f'"rho": {_fmt_json(r.rho)}',
-                    f'"alpha": {_fmt_json(r.alpha)}',
-                    f'"seed": {r.seed}',
-                    f'"status": "{r.status}"',
-                    f'"final_loss": {_fmt_json(r.final_loss)}',
-                    f'"final_grad_norm": {_fmt_json(r.final_grad_norm)}',
-                    f'"lambda_max": {_fmt_json(r.lambda_max)}',
-                    f'"minimum": {minimum}',
-                ]) + "}"
-            )
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return "\n".join(lines) + "\n"
+    header = [f.name for f in fields(SweepRow)]
+    return _table(header, (vars(r).values() for r in rows), fmt)
 
 
 def emit(text: str, path: str | None = None) -> int:

@@ -242,6 +242,37 @@ def test_sweep_jsonl_nulls_for_missing_columns():
     assert row["status"] == "ok"
 
 
+def _toy_sweep_with_a_diverged_row():
+    cfg = RunConfig(objective=ObjectiveSpec(kind="toy"), mode="sam", base_kind="sgd",
+                    rho=1.0, steps=60, init=(-6.0, 10.0))
+    rows = sweep(cfg, SweepSpec(alphas=(1.0, 1e4)))
+    assert [(r.status, r.minimum) for r in rows] == [("ok", "sharp"), ("diverged", None)]
+    return format_sweep(rows, "csv"), format_sweep(rows, "jsonl")
+
+
+def _trajectory_with_w_columns():
+    traj = run(replace(QUAD_CFG, mode="vanilla", steps=3))
+    return format_trajectory(traj, "csv"), format_trajectory(traj, "jsonl")
+
+
+@pytest.mark.parametrize("make", [_toy_sweep_with_a_diverged_row, _trajectory_with_w_columns])
+def test_jsonl_lines_carry_the_csv_header_and_fields(make):
+    csv_text, jsonl_text = make()
+    header, *csv_rows = csv_text.splitlines()
+    json_rows = jsonl_text.splitlines()
+    assert len(json_rows) == len(csv_rows) > 1
+    for csv_row, json_row in zip(csv_rows, json_rows):
+        pairs = json.loads(json_row, object_pairs_hook=list)
+        assert [k for k, _ in pairs] == header.split(",")
+        for field, (_, value) in zip(csv_row.split(","), pairs):
+            if value is None:
+                assert field == ""
+            elif isinstance(value, str):
+                assert field == value
+            else:
+                assert type(value)(field) == value
+
+
 def test_emit_writes_files_and_counts_bytes(tmp_path):
     path = tmp_path / "out.txt"
     n = emit("abc\n", str(path))

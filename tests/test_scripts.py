@@ -27,3 +27,19 @@ def test_script_exits_zero_with_its_expected_lines(script, args, expected):
     lines = proc.stdout.splitlines()
     for start, part in expected:
         assert any(ln.startswith(start) and part in ln for ln in lines), (start, part)
+
+
+def test_output_digest_prints_one_sha256_per_group():
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "output_digest.py")],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    groups = [ln.split(" ") for ln in proc.stdout.splitlines()]
+    assert [name for name, _ in groups] == [
+        "toy_sweep_csv", "toy_sweep_jsonl", "toy_runs_csv", "toy_runs_jsonl",
+        "logistic_runs", "logistic_sweeps", "quadratic_sweeps", "cli_toy",
+    ]
+    assert all(len(digest) == 64 and int(digest, 16) >= 0 for _, digest in groups)

@@ -96,6 +96,17 @@ def test_a_toy_row_leaving_the_domain_is_diverged_and_its_neighbours_match():
     assert [r.status for r in rows] == ["ok", "diverged", "ok"]
 
 
+def test_a_run_that_ends_outside_the_domain_is_a_diverged_row_not_an_abort():
+    cfg = RunConfig(objective=ObjectiveSpec(kind="toy"), mode="vanilla", base_kind="sgd",
+                    alpha=1e4, rho=0.0, steps=2, init=(-6.0, 10.0))
+    # the run itself finishes: only its last step lands at sigma <= 0
+    assert run(cfg).final_w[1] <= 0.0
+    rows = sweep(cfg, SweepSpec(alphas=(1e4, 1.0)))
+    assert [(r.alpha, r.status) for r in rows] == [(1e4, "diverged"), (1.0, "ok")]
+    assert format_sweep(rows[1:]) == format_sweep(reference_rows(replace(cfg, alpha=1.0),
+                                                                 SweepSpec()))
+
+
 def test_multi_seed_grids_keep_product_order():
     spec = SweepSpec(gammas=(0.0, 0.5), rhos=(1.0, 2.0), seeds=(3, 1, 2))
     rows = sweep(toy_preset(gamma=0.5, steps=20), spec)

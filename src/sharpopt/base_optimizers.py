@@ -61,13 +61,6 @@ class BaseOptState:
         """Which rows of a stack still have a finite second moment (adam's B)."""
         return np.isfinite(self.adam_v).all(axis=-1) if self.adam_v.ndim == 2 else True
 
-    def keep_rows(self, keep: np.ndarray) -> None:
-        """Drop the stack rows where keep is False."""
-        for name in ("momentum_buf", "adam_m", "adam_v"):
-            buf = getattr(self, name)
-            if buf.ndim == 2:
-                setattr(self, name, buf[keep])
-
 
 def compute_direction(
     state: BaseOptState, cfg: BaseOptConfig, g: np.ndarray

@@ -209,8 +209,15 @@ _FIELDS = {
     ("run", "format"): ("out_format", _text),
 }
 
+# objective kind -> the [objective] keys it reads; any other key is rejected
+_OBJECTIVE_KEYS = {
+    "toy": ("kind",),
+    "quadratic": ("kind", "a", "centers"),
+    "logistic": ("kind", "csv", "num_examples", "dim", "noise_fraction"),
+}
+
 _KNOWN = {
-    "objective": {"kind", "a", "centers", "csv", "num_examples", "dim", "noise_fraction"},
+    "objective": set().union(*_OBJECTIVE_KEYS.values()),
     "optimizer": {key for section, key in _FIELDS if section == "optimizer"},
     "run": {key for section, key in _FIELDS if section == "run"},
     "sweep": {"gamma", "rho", "alpha", "seed", "max_cells", "eig"},
@@ -237,6 +244,9 @@ def _read_document(text: str) -> configparser.ConfigParser:
 def _parse_objective(sec) -> ObjectiveSpec:
     kind = sec.get("kind", "toy").strip()
     spec = ObjectiveSpec(kind=kind)
+    for key in sec:
+        if key not in _OBJECTIVE_KEYS[kind]:
+            raise ConfigError(f"key '{key}' does not apply to the {kind} objective")
     if kind == "quadratic":
         fields = {}
         if "a" in sec:
@@ -253,10 +263,6 @@ def _parse_objective(sec) -> ObjectiveSpec:
             dim=_int("objective", "dim", sec.get("dim", "6")),
             noise_fraction=_float("objective", "noise_fraction", sec.get("noise_fraction", "0")),
         )
-    else:
-        for key in ("a", "centers", "csv", "num_examples", "dim", "noise_fraction"):
-            if key in sec:
-                raise ConfigError(f"key '{key}' does not apply to the toy objective")
     return spec
 
 

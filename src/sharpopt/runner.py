@@ -10,8 +10,9 @@ seed: one ``step`` call per step for the whole stack. ``run`` is its
 one-row case. ``sweep`` groups its grid cells by seed, builds each group's
 objective once and advances the group's cells together; since every row is
 evaluated with the point arithmetic, each sweep row equals the ``run`` of
-its cell bit for bit. A row that fails is frozen at its failing step while
-the others carry on.
+its cell bit for bit. A row that fails stays in the stack, frozen at its
+last finite point, while the others carry on, so the stack keeps its K rows
+for the whole run and only ``_advance`` knows that a row can fail.
 """
 from __future__ import annotations
 
@@ -82,6 +83,8 @@ def _failure(out: StepOutput, k: int, t: int) -> str:
         return f"non-finite loss at step {t}"
     if out.perturbed_w is not None and not np.isfinite(out.perturbed_w[k]).all():
         return f"step {t} left the objective's domain: vector entries must be finite"
+    if out.sharpness_term is not None and not np.isfinite(out.sharpness_term[k]):
+        return f"non-finite loss at the perturbed point at step {t}"
     return f"non-finite iterate at step {t}"
 
 
@@ -90,10 +93,10 @@ def _advance(cfgs: list[RunConfig], obj: Objective, on_step=None):
 
     The configs share everything but gamma, rho and alpha. A row fails at
     step t when its loss there, its perturbed point, its new point or its
-    base state is not finite; it is then frozen at its last finite point
-    and the others carry on. on_step(t, out, ok) sees every step's output
-    and which of the stepped rows survived it. Returns the final points and,
-    per row, None or (failed step, reason).
+    base state is not finite; it then stays in the stack, frozen at its last
+    finite point, while the others carry on. on_step(t, out, ok) sees every
+    step's output and which rows are still live after it. Returns the final
+    points and, per row, None or (failed step, reason).
     """
     cfg = cfgs[0]
     if not obj.accepts_stacks:
@@ -108,32 +111,28 @@ def _advance(cfgs: list[RunConfig], obj: Objective, on_step=None):
         )
     w0 = as_vector(initial_w(cfg, obj), dim=obj.dim)
     W = np.tile(w0, (len(cfgs), 1))
-    final = W.copy()
-    live = np.arange(len(cfgs))  # the row of cfgs each stack row runs
+    live = np.ones(len(cfgs), dtype=bool)
     failures: list[tuple[int, str] | None] = [None] * len(cfgs)
 
     for t in range(1, cfg.steps + 1):
         batch = sampler.batch_at(t) if sampler is not None else FULL_BATCH
-        # a failing row overflows or meets NaN; it is caught below, row by row
+        # a failing or frozen row overflows or meets NaN; only live rows are read
         with np.errstate(all="ignore"):
             out = step(obj, W, batch, state, base_cfg, sam_cfg, t)
-        ok = np.isfinite(out.loss_at_w) & np.isfinite(out.new_w).all(axis=1)
+        ok = live & np.isfinite(out.loss_at_w) & np.isfinite(out.new_w).all(axis=1)
         ok &= state.finite_rows()
         if on_step is not None:
             on_step(t, out, ok)
         if ok.all():
             W = out.new_w
             continue
-        for k in np.flatnonzero(~ok):
-            failures[live[k]] = (t, _failure(out, k, t))
-            final[live[k]] = W[k]
-        if not ok.any():
-            return final, failures
-        W, live = out.new_w[ok], live[ok]
-        sam_cfg = sam_cfg.rows(ok)
-        state.keep_rows(ok)
-    final[live] = W
-    return final, failures
+        for k in np.flatnonzero(live & ~ok):
+            failures[k] = (t, _failure(out, k, t))
+        live = ok
+        if not live.any():
+            return W, failures
+        W = np.where(live[:, None], out.new_w, W)
+    return W, failures
 
 
 def run(cfg: RunConfig, obj: Objective | None = None) -> Trajectory:

@@ -55,8 +55,7 @@ class SamConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not holds(self.rho >= 0.0):
             raise ValueError("rho must be >= 0")
-        if not holds((self.gamma >= 0.0) & (self.gamma < 1.0)):
-            raise ValueError("gamma must be in [0,1)")
+        gamma_coefficients(self.gamma)  # raises unless gamma is in [0,1)
         if not self.sam_eps > 0.0:
             raise ValueError("sam_eps must be > 0")
         if self.clip_norm is not None and not self.clip_norm > 0.0:
@@ -73,7 +72,7 @@ class SamConfig:
     @functools.cached_property
     def coefficients(self) -> tuple:
         """gamma_coefficients of gamma, real or column."""
-        return _coefficients(self.gamma)
+        return gamma_coefficients(self.gamma)
 
     @staticmethod
     def stack(configs: list[SamConfig]) -> SamConfig:
@@ -100,15 +99,6 @@ class SamConfig:
                                     column([c.alpha_schedule.base for c in configs])),
         )
 
-    def rows(self, keep: np.ndarray) -> SamConfig:
-        """The stacked config of the rows where keep is True."""
-        rho, alpha = self.rho_schedule, self.alpha_schedule
-        return replace(
-            self, gamma=self.gamma[keep], rho=self.rho[keep],
-            rho_schedule=Schedule(rho.kind, rho.base[keep]),
-            alpha_schedule=Schedule(alpha.kind, alpha.base[keep]),
-        )
-
 
 @dataclass(frozen=True)
 class StepOutput:
@@ -124,15 +114,14 @@ class StepOutput:
     perturbed_w: np.ndarray | None = None
 
 
-def _coefficients(gamma):
-    return gamma / (1.0 - gamma), (1.0 - 2.0 * gamma) / (1.0 - gamma)
+def gamma_coefficients(gamma: float | np.ndarray) -> tuple:
+    """The pair (gamma/(1-gamma), (1-2gamma)/(1-gamma)); always sums to 1.
 
-
-def gamma_coefficients(gamma: float) -> tuple[float, float]:
-    """The pair (gamma/(1-gamma), (1-2gamma)/(1-gamma)); always sums to 1."""
-    if not 0.0 <= gamma < 1.0:
+    gamma is a real or a (K, 1) column.
+    """
+    if not holds((gamma >= 0.0) & (gamma < 1.0)):
         raise ValueError("gamma must be in [0,1)")
-    return _coefficients(gamma)
+    return gamma / (1.0 - gamma), (1.0 - 2.0 * gamma) / (1.0 - gamma)
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -183,9 +172,7 @@ def wsam_loss(
     gamma: float = 0.5,
 ) -> float:
     """Diagnostic composite loss L(w) + gamma/(1-gamma) * sharpness."""
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("gamma must be in [0,1)")
-    coeff = gamma / (1.0 - gamma)
+    coeff = gamma_coefficients(gamma)[0]
     return obj.loss(w, batch) + coeff * sharpness_estimate(obj, w, batch, rho_t, eps)
 
 

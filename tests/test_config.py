@@ -197,3 +197,25 @@ def test_objective_spec_checks_its_ranges_when_constructed(fields):
 
     with pytest.raises(ConfigError):
         RunConfig(objective=ObjectiveSpec(**fields))
+
+
+@pytest.mark.parametrize("kind,line", [
+    ("quadratic", "dim = 3"),
+    ("quadratic", "csv = data.csv"),
+    ("logistic", "a = 1, 2"),
+    ("logistic", "centers = 0, 0"),
+    ("toy", "a = 1"),
+])
+def test_an_objective_key_of_another_kind_is_rejected(kind, line):
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigError, match=f"key '{key}' does not apply to the {kind} objective"):
+        parse_config(f"[objective]\nkind = {kind}\n{line}\n")
+
+
+def test_an_objective_key_of_another_kind_exits_one_at_the_cli(tmp_path, capfd):
+    from sharpopt.cli import main
+
+    path = tmp_path / "cfg.ini"
+    path.write_text("[objective]\nkind = quadratic\ndim = 3\n", encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 1
+    assert "does not apply to the quadratic objective" in capfd.readouterr().err

@@ -114,6 +114,16 @@ def test_a_nonfinite_perturbed_point_fails_at_its_pinned_step(
     assert np.all(np.isfinite(seen[-2])) and not np.all(np.isfinite(seen[-1]))
 
 
+def test_a_perturbed_point_outside_the_domain_names_its_loss():
+    # the adaptive offset from (-6, 10) lands at sigma < 0: finite, but no loss there
+    cfg = RunConfig(objective=ObjectiveSpec(kind="toy"), mode="sam", base_kind="sgd",
+                    alpha=5.0, rho=2.0, adaptive=True, steps=150, init=(-6.0, 10.0))
+    with pytest.raises(NumericBlowup) as info:
+        run(cfg)
+    assert info.value.failed_step == 1
+    assert str(info.value) == "non-finite loss at the perturbed point at step 1"
+
+
 def test_leaving_the_toy_domain_is_reported_as_a_blowup():
     cfg = RunConfig(
         objective=ObjectiveSpec(kind="toy"), mode="vanilla", base_kind="sgd",

@@ -174,3 +174,17 @@ def test_a_stack_evaluates_each_row_as_a_point(obj, points):
             continue
         assert loss == want_loss
         assert np.array_equal(grad, want_grad)
+
+
+@pytest.mark.parametrize("mode,base", list(itertools.product(MODES, ("sgd", "sgdm", "adam"))))
+def test_rows_that_fail_at_different_steps_in_one_stack_match_their_runs(mode, base):
+    # alpha = 1e200 rows fail at step 2; sgd and sgdm rows at alpha = 50 fail later
+    cfg = RunConfig(
+        objective=ObjectiveSpec(kind="quadratic", a=(2.0, 1.0),
+                                centers=((1.0, -1.0), (0.5, 0.5), (-1.0, 2.0), (0.0, 0.3))),
+        mode=mode, base_kind=base, rho=0.2, batch_size=2, steps=100, init=None,
+        init_scale=4.0,
+    )
+    spec = SweepSpec(gammas=(0.0, 0.5), alphas=(0.1, 50.0, 1e200), seeds=(0, 1), eig=True)
+    rows = assert_rows_match(cfg, spec)
+    assert {"ok", "diverged"} <= {r.status for r in rows}

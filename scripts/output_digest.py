@@ -17,6 +17,8 @@ import contextlib
 import hashlib
 import io
 import itertools
+import os
+import tempfile
 from dataclasses import replace
 
 from sharpopt import cli
@@ -106,6 +108,45 @@ def cli_toy():
         yield f"exit {code}\n" + out.buffer.getvalue().decode("utf-8")
 
 
+TOY_DOC = "[objective]\nkind = toy\n"
+
+# (subcommand, document): valid run and sweep documents, then one per kind of
+# input error, two of them with a second fault that must not be the one reported
+CONFIG_DOCS = (
+    ("run", TOY_DOC + "[optimizer]\nmode = coupled\ngamma = 0.8\n[run]\nsteps = 30\n"),
+    ("run", "[objective]\nkind = quadratic\na = 2.0, 1.0\ncenters = 1.0, -1.0 | 0.0, 0.5\n"
+            "[optimizer]\nmode = wsam\nbase = adam\nalpha = 0.05\nrho = 0.3\ngamma = 0.7\n"
+            "batch_size = 1\n[run]\nsteps = 40\nseed = 3\ninit = random\nformat = jsonl\n"),
+    ("run", "[objective]\nkind = logistic\nnum_examples = 32\ndim = 4\nnoise_fraction = 0.1\n"
+            "[optimizer]\nalpha = 0.1\nrho = 0.05\nbatch_size = 8\n"
+            "[run]\nsteps = 25\nseed = 2\nrecord_every = 5\n"),
+    ("sweep", TOY_DOC + "[run]\nsteps = 60\n[sweep]\ngamma = 0, 0.5, 0.9\nrho = 1, 2\neig = true\n"),
+    ("run", "[objective]\nkind = cubic\n"),
+    ("run", "[objective]\nkind = toy\na = 1, 2\n"),
+    ("run", "[objective]\nkind = quadratic\ncsv = data.csv\n"),
+    ("run", "[objective]\nkind = cubic\na = abc\n"),
+    ("run", "[objective]\nkind = toy\na = abc\n"),
+    ("sweep", TOY_DOC + "[sweep]\ngamma = 0.5\nmax_cells = 0\n"),
+    ("sweep", TOY_DOC + "[sweep]\ngamma = 0.1, 0.2, 0.3\nmax_cells = 2\n"),
+    ("run", TOY_DOC + "[optimizer]\nmomentun = 0.5\n"),
+)
+
+
+def cli_config():
+    """Exit code, stdout and stderr of `sharpopt run|sweep --config` on CONFIG_DOCS."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (command, doc) in enumerate(CONFIG_DOCS):
+            path = os.path.join(tmp, f"{i}.ini")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(doc)
+            out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([command, "--config", path])
+            out.flush()
+            yield f"exit {code}\n{out.buffer.getvalue().decode('utf-8')}stderr\n{err.getvalue()}"
+
+
 def main() -> int:
     sweeps = list(toy_sweeps())
     groups = {
@@ -119,6 +160,7 @@ def main() -> int:
         "logistic_sweeps": logistic_sweeps(),
         "quadratic_sweeps": quadratic_sweeps(),
         "cli_toy": cli_toy(),
+        "cli_config": cli_config(),
     }
     for name, texts in groups.items():
         print(f"{name} {_digest(texts)}", flush=True)

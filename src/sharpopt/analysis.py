@@ -22,6 +22,7 @@ from .objectives import (
     ToyLandscape,
     toy_loss,
 )
+from .sam import gamma_coefficients
 
 SHARP = "sharp"
 FLAT = "flat"
@@ -180,14 +181,13 @@ class GenBoundInputs:
             raise ValueError("sample_count must be >= 2")
         if self.param_dim < 1:
             raise ValueError("param_dim must be >= 1")
-        if not self.rho > 0.0:
-            raise ValueError("rho must be > 0")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must be in [0,1)")
+        if not (math.isfinite(self.rho) and self.rho > 0.0):
+            raise ValueError("rho must be finite and > 0")
+        gamma_coefficients(self.gamma)  # raises unless gamma is in [0,1)
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0,1)")
-        if self.weight_norm < 0.0:
-            raise ValueError("weight_norm must be >= 0")
+        if not (math.isfinite(self.weight_norm) and self.weight_norm >= 0.0):
+            raise ValueError("weight_norm must be finite and >= 0")
         if not 0.0 <= self.empirical_wsam_loss <= 1.0:
             raise ValueError("empirical_wsam_loss must be in [0,1]")
         if math.e * self.sample_count <= self.vc_dim:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import ClassVar
 
 from .base_optimizers import SGDM, BaseOptConfig
 from .core import CONSTANT, Schedule
@@ -21,33 +22,54 @@ class ConfigError(ValueError):
     pass
 
 
-OBJECTIVE_KINDS = ("toy", "quadratic", "logistic")
 FORMATS = ("csv", "jsonl")
-
 TOY_INIT = (-6.0, 10.0)
 
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
+    """One kind's objective; a field left None takes the kind's default from READS."""
+
+    # kind -> the fields it reads, with their defaults; setting any other field is an error
+    READS: ClassVar[dict[str, dict]] = {
+        "toy": {},
+        "quadratic": {"a": (2.0, 1.0), "centers": ((1.0, -1.0),)},
+        "logistic": {"csv_path": None, "num_examples": 64, "dim": 6, "noise_fraction": 0.0},
+    }
+
     kind: str = "toy"
-    # quadratic
-    a: tuple[float, ...] = (2.0, 1.0)
-    centers: tuple[tuple[float, ...], ...] = ((1.0, -1.0),)
-    # logistic
+    a: tuple[float, ...] | None = None
+    centers: tuple[tuple[float, ...], ...] | None = None
     csv_path: str | None = None
-    num_examples: int = 64
-    dim: int = 6
-    noise_fraction: float = 0.0
+    num_examples: int | None = None
+    dim: int | None = None
+    noise_fraction: float | None = None
 
     def __post_init__(self):
-        if self.kind not in OBJECTIVE_KINDS:
-            raise ConfigError(f"objective kind must be one of {OBJECTIVE_KINDS}, got {self.kind!r}")
-        if any(len(c) != len(self.a) for c in self.centers):
+        names = {f.name: f.name for f in fields(self) if getattr(self, f.name) is not None}
+        for name, default in self._check_reads(self.kind, names).items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
+        if self.kind == "quadratic" and any(len(c) != len(self.a) for c in self.centers):
             raise ConfigError("each centers row must match the length of a")
-        if not 0.0 <= self.noise_fraction < 1.0:
-            raise ConfigError("noise_fraction must be in [0,1)")
-        if self.num_examples < 1 or self.dim < 1:
-            raise ConfigError("num_examples and dim must be >= 1")
+        if self.kind == "logistic":
+            if not 0.0 <= self.noise_fraction < 1.0:
+                raise ConfigError("noise_fraction must be in [0,1)")
+            if self.num_examples < 1 or self.dim < 1:
+                raise ConfigError("num_examples and dim must be >= 1")
+
+    @classmethod
+    def _check_reads(cls, kind: str, names: dict[str, str]) -> dict:
+        """The kind's READS entry; raises unless kind reads every field of names.
+
+        names maps each field set to the name an error calls it by.
+        """
+        if kind not in cls.READS:
+            raise ConfigError(f"objective kind must be one of {tuple(cls.READS)}, got {kind!r}")
+        for field, name in names.items():
+            if field != "kind" and field not in cls.READS[kind]:
+                raise ConfigError(f"key '{name}' does not apply to the {kind} objective")
+        return cls.READS[kind]
 
 
 def _schedule(name: str, kind: str, base: float) -> Schedule:
@@ -107,12 +129,9 @@ class RunConfig:
     def sam_config(self) -> SamConfig:
         return SamConfig(
             alpha_schedule=_schedule("alpha", self.alpha_schedule, self.alpha),
-            mode=self.mode,
-            rho=self.rho,
+            mode=self.mode, rho=self.rho,
             rho_schedule=_schedule("rho", self.rho_schedule, self.rho),
-            gamma=self.gamma,
-            sam_eps=self.sam_eps,
-            adaptive=self.adaptive,
+            gamma=self.gamma, sam_eps=self.sam_eps, adaptive=self.adaptive,
             clip_norm=self.clip_norm,
         )
 
@@ -125,12 +144,26 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A grid over gamma, rho, alpha and seed; an empty grid keeps the run's value."""
+
     gammas: tuple[float, ...] = ()
     rhos: tuple[float, ...] = ()
     alphas: tuple[float, ...] = ()
     seeds: tuple[int, ...] = ()
     max_cells: int = 10_000
     eig: bool = False
+
+    def __post_init__(self):
+        if self.max_cells < 1:
+            raise ConfigError("max_cells must be >= 1")
+        n_cells = math.prod(max(1, len(values)) for values in self.grids.values())
+        if n_cells > self.max_cells:
+            raise ConfigError(f"sweep has {n_cells} cells, above the cap {self.max_cells}")
+
+    @property
+    def grids(self) -> dict[str, tuple]:
+        """RunConfig field -> the values the sweep gives it."""
+        return {"gamma": self.gammas, "rho": self.rhos, "alpha": self.alphas, "seed": self.seeds}
 
 
 def _float(section: str, key: str, raw: str) -> float:
@@ -183,8 +216,22 @@ def _init(section: str, key: str, raw: str) -> tuple[float, ...] | None:
     return None if raw in ("", "random") else _list(_float)(section, key, raw)
 
 
-# (section, INI key) -> (RunConfig field, parser of the raw value)
+def _rows(section: str, key: str, raw: str) -> tuple[tuple[float, ...], ...]:
+    """Rows separated by '|', each a comma-separated list of numbers."""
+    rows = [r.strip() for r in raw.split("|") if r.strip()]
+    return tuple(_list(_float)(section, key, r) for r in rows)
+
+
+# (section, INI key) -> (field, parser of the raw value); [objective] keys
+# fill ObjectiveSpec, [optimizer] and [run] keys RunConfig, [sweep] keys SweepSpec
 _FIELDS = {
+    ("objective", "kind"): ("kind", _text),
+    ("objective", "a"): ("a", _list(_float)),
+    ("objective", "centers"): ("centers", _rows),
+    ("objective", "csv"): ("csv_path", _text),
+    ("objective", "num_examples"): ("num_examples", _int),
+    ("objective", "dim"): ("dim", _int),
+    ("objective", "noise_fraction"): ("noise_fraction", _float),
     ("optimizer", "mode"): ("mode", _text),
     ("optimizer", "base"): ("base_kind", _text),
     ("optimizer", "alpha"): ("alpha", _float),
@@ -207,21 +254,15 @@ _FIELDS = {
     ("run", "record_every"): ("record_every", _int),
     ("run", "out"): ("out", _or_none(_text)),
     ("run", "format"): ("out_format", _text),
+    ("sweep", "gamma"): ("gammas", _list(_float)),
+    ("sweep", "rho"): ("rhos", _list(_float)),
+    ("sweep", "alpha"): ("alphas", _list(_float)),
+    ("sweep", "seed"): ("seeds", _list(_int)),
+    ("sweep", "max_cells"): ("max_cells", _int),
+    ("sweep", "eig"): ("eig", _bool),
 }
 
-# objective kind -> the [objective] keys it reads; any other key is rejected
-_OBJECTIVE_KEYS = {
-    "toy": ("kind",),
-    "quadratic": ("kind", "a", "centers"),
-    "logistic": ("kind", "csv", "num_examples", "dim", "noise_fraction"),
-}
-
-_KNOWN = {
-    "objective": set().union(*_OBJECTIVE_KEYS.values()),
-    "optimizer": {key for section, key in _FIELDS if section == "optimizer"},
-    "run": {key for section, key in _FIELDS if section == "run"},
-    "sweep": {"gamma", "rho", "alpha", "seed", "max_cells", "eig"},
-}
+_KNOWN = {section: {k for s, k in _FIELDS if s == section} for section, _ in _FIELDS}
 
 
 def _read_document(text: str) -> configparser.ConfigParser:
@@ -241,29 +282,13 @@ def _read_document(text: str) -> configparser.ConfigParser:
     return parser
 
 
-def _parse_objective(sec) -> ObjectiveSpec:
-    kind = sec.get("kind", "toy").strip()
-    spec = ObjectiveSpec(kind=kind)
-    for key in sec:
-        if key not in _OBJECTIVE_KEYS[kind]:
-            raise ConfigError(f"key '{key}' does not apply to the {kind} objective")
-    if kind == "quadratic":
-        fields = {}
-        if "a" in sec:
-            fields["a"] = _list(_float)("objective", "a", sec["a"])
-        if "centers" in sec:
-            rows = [r.strip() for r in sec["centers"].split("|") if r.strip()]
-            fields["centers"] = tuple(_list(_float)("objective", "centers", r) for r in rows)
-        spec = replace(spec, **fields)
-    elif kind == "logistic":
-        spec = replace(
-            spec,
-            csv_path=sec.get("csv", None),
-            num_examples=_int("objective", "num_examples", sec.get("num_examples", "64")),
-            dim=_int("objective", "dim", sec.get("dim", "6")),
-            noise_fraction=_float("objective", "noise_fraction", sec.get("noise_fraction", "0")),
-        )
-    return spec
+def _values(parser: configparser.ConfigParser, section: str) -> dict:
+    """The fields a section sets, each parsed from its raw value."""
+    return {
+        field: parse(section, key, parser[section][key])
+        for (s, key), (field, parse) in _FIELDS.items()
+        if s == section and parser.has_option(section, key)
+    }
 
 
 def parse_config(text: str) -> RunConfig:
@@ -273,13 +298,12 @@ def parse_config(text: str) -> RunConfig:
 
 def _run_config(parser: configparser.ConfigParser) -> RunConfig:
     """The RunConfig of a read document; raises ConfigError."""
-    objective = _parse_objective(parser["objective"])
-    fields = {
-        field: parse(section, key, parser[section][key])
-        for (section, key), (field, parse) in _FIELDS.items()
-        if parser.has_option(section, key)
-    }
-    cfg = RunConfig(objective=objective, **fields)
+    # the kind, then which keys it reads, are checked before any value is parsed
+    sec = parser["objective"]
+    kind = sec.get("kind", ObjectiveSpec.kind).strip()
+    ObjectiveSpec._check_reads(kind, {_FIELDS["objective", key][0]: key for key in sec})
+    objective = ObjectiveSpec(**_values(parser, "objective"))
+    cfg = RunConfig(objective=objective, **_values(parser, "optimizer"), **_values(parser, "run"))
 
     # the toy demo starts from its canonical point unless 'random' was asked for
     explicit_random_init = parser.get("run", "init", fallback="").strip() == "random"
@@ -298,24 +322,10 @@ def parse_sweep_config(text: str) -> tuple[RunConfig, SweepSpec]:
     cfg = _run_config(parser)
     if not parser.has_section("sweep"):
         raise ConfigError("missing [sweep] section")
-    sec = parser["sweep"]
-    spec = SweepSpec(
-        gammas=_list(_float)("sweep", "gamma", sec["gamma"]) if "gamma" in sec else (),
-        rhos=_list(_float)("sweep", "rho", sec["rho"]) if "rho" in sec else (),
-        alphas=_list(_float)("sweep", "alpha", sec["alpha"]) if "alpha" in sec else (),
-        seeds=_list(_int)("sweep", "seed", sec["seed"]) if "seed" in sec else (),
-        max_cells=_int("sweep", "max_cells", sec.get("max_cells", "10000")),
-        eig=_bool("sweep", "eig", sec.get("eig", "false")),
-    )
-    if spec.max_cells < 1:
-        raise ConfigError("max_cells must be >= 1")
-    grids = {"gamma": spec.gammas, "rho": spec.rhos, "alpha": spec.alphas, "seed": spec.seeds}
-    for field, values in grids.items():
+    spec = SweepSpec(**_values(parser, "sweep"))
+    for field, values in spec.grids.items():
         for value in values:
             replace(cfg, **{field: value})  # RunConfig checks the value's range
-    n_cells = math.prod(max(1, len(values)) for values in grids.values())
-    if n_cells > spec.max_cells:
-        raise ConfigError(f"sweep has {n_cells} cells, above the cap {spec.max_cells}")
     return cfg, spec
 
 
@@ -330,22 +340,11 @@ def objective_dim(spec: ObjectiveSpec) -> int:
 
 
 def toy_preset(gamma: float, mode: str = COUPLED, steps: int = 150, seed: int = 0) -> RunConfig:
-    """The two-minima trajectory recipe behind the `toy` subcommand.
+    """The two-minima trajectory recipe behind `toy`: RunConfig's defaults plus these.
 
     The gamma-weighted runs default to the coupled variant: with the demo's
     step size it is the one whose trajectory actually switches basins as
     gamma grows (the decoupled correction, lacking momentum amplification,
     settles in the sharp basin for every gamma at these settings).
     """
-    return RunConfig(
-        objective=ObjectiveSpec(kind="toy"),
-        mode=mode,
-        base_kind=SGDM,
-        alpha=5.0,
-        rho=2.0,
-        gamma=gamma,
-        momentum_coeff=0.9,
-        steps=steps,
-        seed=seed,
-        init=TOY_INIT,
-    )
+    return RunConfig(mode=mode, gamma=gamma, steps=steps, seed=seed, init=TOY_INIT)

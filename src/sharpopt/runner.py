@@ -190,13 +190,10 @@ def sweep(cfg: RunConfig, spec: SweepSpec) -> list[SweepRow]:
     full-batch loss is non-finite or above the full-batch loss at its
     initial point.
     """
-    gammas = spec.gammas or (cfg.gamma,)
-    rhos = spec.rhos or (cfg.rho,)
-    alphas = spec.alphas or (cfg.alpha,)
-    seeds = spec.seeds or (cfg.seed,)
-    cells = list(itertools.product(gammas, rhos, alphas, seeds))
+    axes = [values or (getattr(cfg, field),) for field, values in spec.grids.items()]
+    cells = list(itertools.product(*axes))  # (gamma, rho, alpha, seed)
     rows: list[SweepRow | None] = [None] * len(cells)
-    for seed in dict.fromkeys(seeds):
+    for seed in dict.fromkeys(cell[3] for cell in cells):
         group = [i for i, cell in enumerate(cells) if cell[3] == seed]
         cfgs = [
             replace(cfg, gamma=g, rho=r, alpha=a, seed=seed, out=None)

@@ -1,13 +1,14 @@
 """Sharpness-aware stepping rules over a pluggable base optimizer.
 
-Four modes share one step skeleton, ``_step``. Per step, "sam" perturbs by
+Four modes share one step skeleton, ``step``. Per step, "sam" perturbs by
 the ascent direction and hands the perturbed gradient g to the base; "wsam"
 hands the clean gradient g_tilde to the base and adds the weighted sharpness
 correction gamma/(1-gamma) * (g - g_tilde) outside it, unpreconditioned;
 "coupled" hands the base the single blended gradient
 h = gamma/(1-gamma) * g + (1-2gamma)/(1-gamma) * g_tilde; "vanilla" skips
 the perturbation entirely. ``step_sgd_wsam`` is the base-free closed form
-of the blended step. Both gradients of a step always use the same batch.
+of the blended step: ``step`` in coupled mode with no base state. Both
+gradients of a step always use the same batch.
 
 The step is row-wise: w may be one point or a (K, d) stack of K runs that
 share the batch, with ``SamConfig.stack`` holding their gamma, rho and alpha
@@ -176,17 +177,17 @@ def wsam_loss(
     return obj.loss(w, batch) + coeff * sharpness_estimate(obj, w, batch, rho_t, eps)
 
 
-def _step(
+def step(
     obj: Objective,
     w,
     batch: BatchSpec,
-    state: BaseOptState | None,
+    base_state: BaseOptState | None,
     base_cfg: BaseOptConfig | None,
     sam_cfg: SamConfig,
     t: int,
-    mode: str,
 ) -> StepOutput:
-    """The one step skeleton; no base state means the identity base."""
+    """One step of sam_cfg.mode over the base optimizer; no base state means the identity base."""
+    mode = sam_cfg.mode
     loss, g_tilde = obj.loss_grad(w, batch)
     fed, sharpness, w_adv = g_tilde, None, None
     if mode != VANILLA:
@@ -199,7 +200,7 @@ def _step(
             c_adv, c_clean = sam_cfg.coefficients
             fed = c_adv * g + c_clean * g_tilde
     fed = clip_to_norm(fed, sam_cfg.clip_norm)
-    m, b = (fed, IDENTITY) if state is None else compute_direction(state, base_cfg, fed)
+    m, b = (fed, IDENTITY) if base_state is None else compute_direction(base_state, base_cfg, fed)
     if mode == WSAM:
         # the sharpness correction rides outside the base update: raw alpha_t,
         # no preconditioning, and never clipped
@@ -210,19 +211,6 @@ def _step(
     return StepOutput(new_w, loss, row_norms(g_tilde), sharpness, w_adv)
 
 
-def step(
-    obj: Objective,
-    w,
-    batch: BatchSpec,
-    base_state: BaseOptState,
-    base_cfg: BaseOptConfig,
-    sam_cfg: SamConfig,
-    t: int,
-) -> StepOutput:
-    """One step of sam_cfg.mode over the base optimizer."""
-    return _step(obj, w, batch, base_state, base_cfg, sam_cfg, t, sam_cfg.mode)
-
-
 def step_sgd_wsam(obj: Objective, w, batch: BatchSpec, sam_cfg: SamConfig, t: int) -> StepOutput:
     """Base-free blended step w - alpha_t * h; the stateless special case."""
-    return _step(obj, w, batch, None, None, sam_cfg, t, COUPLED)
+    return step(obj, w, batch, None, None, replace(sam_cfg, mode=COUPLED), t)

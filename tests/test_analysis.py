@@ -263,3 +263,16 @@ def test_the_frozen_toy_minima_are_what_descent_finds():
         assert np.allclose(getattr(found, name), getattr(frozen, name), rtol=1e-12, atol=0)
     for name in ("sharp_loss", "flat_loss"):
         assert math.isclose(getattr(found, name), getattr(frozen, name), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("rho", math.inf, "rho must be finite and > 0"),
+    ("rho", math.nan, "rho must be finite and > 0"),
+    ("weight_norm", math.inf, "weight_norm must be finite and >= 0"),
+    ("weight_norm", math.nan, "weight_norm must be finite and >= 0"),
+    ("gamma", math.nan, r"gamma must be in \[0,1\)"),
+    ("gamma", -0.1, r"gamma must be in \[0,1\)"),
+])
+def test_bound_inputs_reject_non_finite_values_and_keep_the_gamma_message(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        GenBoundInputs(**{**BOUND_EXAMPLE, field: value})

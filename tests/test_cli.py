@@ -180,3 +180,13 @@ def test_an_out_of_range_noise_fraction_exits_one(tmp_path, capfd):
     code = main(["run", "--config", write(tmp_path, doc)])
     assert code == 1
     assert "noise_fraction must be in [0,1)" in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--wnorm", "nan"), ("--wnorm", "inf"), ("--rho", "inf")])
+def test_bound_rejects_non_finite_inputs(capfd, flag, value):
+    args = {"--d": "10", "--m": "1000", "--n": "100", "--rho": "0.05", "--gamma": "0.5",
+            "--delta": "0.05", "--wnorm": "1.0", "--loss": "0.1", flag: value}
+    assert main(["bound", *(x for pair in args.items() for x in pair)]) == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err

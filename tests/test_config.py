@@ -2,6 +2,7 @@ import pytest
 
 from sharpopt.config import (
     ConfigError,
+    ObjectiveSpec,
     RunConfig,
     SweepSpec,
     objective_dim,
@@ -219,3 +220,43 @@ def test_an_objective_key_of_another_kind_exits_one_at_the_cli(tmp_path, capfd):
     path.write_text("[objective]\nkind = quadratic\ndim = 3\n", encoding="utf-8")
     assert main(["run", "--config", str(path)]) == 1
     assert "does not apply to the quadratic objective" in capfd.readouterr().err
+
+
+def test_objective_spec_rejects_a_field_its_kind_does_not_read():
+    with pytest.raises(ConfigError, match="key 'dim' does not apply to the quadratic objective"):
+        ObjectiveSpec(kind="quadratic", dim=3)
+    with pytest.raises(ConfigError, match="key 'a' does not apply to the toy objective"):
+        ObjectiveSpec(kind="toy", a=(1.0, 2.0, 3.0))
+    with pytest.raises(ConfigError, match="key 'csv_path' does not apply to the toy objective"):
+        ObjectiveSpec(csv_path="data.csv")
+
+
+def test_objective_spec_fills_only_the_defaults_of_its_kind():
+    quad = ObjectiveSpec(kind="quadratic")
+    assert quad == ObjectiveSpec(kind="quadratic", a=(2.0, 1.0), centers=((1.0, -1.0),))
+    assert quad.dim is None and quad.num_examples is None
+    logi = ObjectiveSpec(kind="logistic", dim=3)
+    assert (logi.num_examples, logi.dim, logi.noise_fraction) == (64, 3, 0.0)
+    assert logi.csv_path is None and logi.a is None and logi.centers is None
+    assert ObjectiveSpec().a is None and ObjectiveSpec().dim is None
+    # a quadratic with no centres, as an objective built by hand and passed to run
+    assert ObjectiveSpec(kind="quadratic", a=(1.0, 2.0), centers=()).centers == ()
+
+
+@pytest.mark.parametrize("body,message", [
+    ("kind = toy\na = abc\n", "key 'a' does not apply to the toy objective"),
+    ("kind = cubic\na = abc\n", "objective kind must be one of"),
+    ("kind = logistic\ndim = abc\nnoise_fraction = 2\n", r"dim in \[objective\] must be an integer"),
+])
+def test_an_objective_section_reports_its_kind_then_a_foreign_key_then_a_value(body, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config("[objective]\n" + body)
+
+
+def test_sweep_spec_checks_max_cells_and_the_cell_cap_when_constructed():
+    with pytest.raises(ConfigError, match="max_cells must be >= 1"):
+        SweepSpec(max_cells=0)
+    with pytest.raises(ConfigError, match="sweep has 3 cells, above the cap 2"):
+        SweepSpec(gammas=(0.1, 0.2, 0.3), max_cells=2)
+    spec = SweepSpec(gammas=(0.1, 0.2), seeds=(0, 1), max_cells=4)
+    assert spec.grids == {"gamma": (0.1, 0.2), "rho": (), "alpha": (), "seed": (0, 1)}

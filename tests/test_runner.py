@@ -300,3 +300,14 @@ def test_floats_survive_the_seventeen_digit_format():
     line = format_trajectory(traj, "csv").splitlines()[1]
     loss_text = line.split(",")[1]
     assert float(loss_text) == traj.records[0].loss
+
+
+def test_a_sweep_built_in_code_obeys_the_cell_cap_before_any_step(monkeypatch):
+    from sharpopt import runner
+    from sharpopt.config import ConfigError
+
+    steps = []
+    monkeypatch.setattr(runner, "step", lambda *args: steps.append(args))
+    with pytest.raises(ConfigError, match="sweep has 3 cells, above the cap 2"):
+        sweep(toy_preset(0.5), SweepSpec(gammas=(0.1, 0.2, 0.3), max_cells=2))
+    assert steps == []

@@ -263,3 +263,16 @@ def test_clipping_caps_the_base_gradient_but_not_the_correction():
     assert np.allclose(out.new_w, expected, rtol=0, atol=1e-12)
     # the correction alone is far larger than the clip budget
     assert np.linalg.norm(coeff * (g - g_tilde)) > clip
+
+
+@pytest.mark.parametrize("mode", ["sam", "wsam", "coupled"])
+def test_step_sgd_wsam_is_the_coupled_step_with_no_base_state(mode):
+    obj = Quadratic(a=(2.0, 1.0), centers=[(1.0, -1.0), (0.5, 0.5)])
+    w = np.array([0.3, -0.2])
+    got = step_sgd_wsam(obj, w, FULL_BATCH, cfg_for(mode, 0.1, rho=0.5, gamma=0.7), 3)
+    coupled = cfg_for("coupled", 0.1, rho=0.5, gamma=0.7)
+    stateless = step(obj, w, FULL_BATCH, None, None, coupled, 3)
+    sgd = step(obj, w, FULL_BATCH, BaseOptState(dim=2), BaseOptConfig(kind="sgd"), coupled, 3)
+    assert np.array_equal(got.new_w, stateless.new_w)
+    assert np.array_equal(got.new_w, sgd.new_w)
+    assert got.sharpness_term == sgd.sharpness_term

@@ -40,6 +40,6 @@ def test_output_digest_prints_one_sha256_per_group():
     groups = [ln.split(" ") for ln in proc.stdout.splitlines()]
     assert [name for name, _ in groups] == [
         "toy_sweep_csv", "toy_sweep_jsonl", "toy_runs_csv", "toy_runs_jsonl",
-        "logistic_runs", "logistic_sweeps", "quadratic_sweeps", "cli_toy",
+        "logistic_runs", "logistic_sweeps", "quadratic_sweeps", "cli_toy", "cli_config",
     ]
     assert all(len(digest) == 64 and int(digest, 16) >= 0 for _, digest in groups)

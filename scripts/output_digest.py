@@ -10,16 +10,28 @@ output, run this script against both checkouts' sources and diff:
     PYTHONPATH=/path/to/parent/src python3 scripts/output_digest.py > parent.txt
     diff parent.txt change.txt
 
+or let the script do both sides, with a git ref's src/ as the parent:
+
+    PYTHONPATH=src python3 scripts/output_digest.py --against <git ref>
+
+which prints one "group same|differs" line per group and exits 1 if any
+group differs, or 2 if the ref's sources cannot be exported or digested.
+
 A run that blows up is hashed as its failed step, its message and its last
 finite record, so failure paths are covered too. Takes a few seconds.
 """
+import argparse
 import contextlib
 import hashlib
 import io
 import itertools
 import os
+import subprocess
+import sys
 import tempfile
+import zipfile
 from dataclasses import replace
+from pathlib import Path
 
 from sharpopt import cli
 from sharpopt.config import ObjectiveSpec, RunConfig, SweepSpec, toy_preset
@@ -147,7 +159,8 @@ def cli_config():
             yield f"exit {code}\n{out.buffer.getvalue().decode('utf-8')}stderr\n{err.getvalue()}"
 
 
-def main() -> int:
+def digests():
+    """(group, SHA-256) pairs, one group at a time, for the sharpopt imported here."""
     sweeps = list(toy_sweeps())
     groups = {
         "toy_sweep_csv": (format_sweep(rows, "csv") for rows in sweeps),
@@ -163,8 +176,55 @@ def main() -> int:
         "cli_config": cli_config(),
     }
     for name, texts in groups.items():
-        print(f"{name} {_digest(texts)}", flush=True)
-    return 0
+        yield name, _digest(texts)
+
+
+def _ref_digests(ref: str) -> dict[str, str]:
+    """This script's digests over the src/ of git ref ref, run in a subprocess.
+
+    Raises RuntimeError, naming ref, when the sources cannot be exported or digested.
+    """
+    root = Path(__file__).resolve().parents[1]
+    command = ["git", "-C", str(root), "archive", "--format=zip", ref, "src"]
+    try:
+        archive = subprocess.run(command, capture_output=True, check=True).stdout
+    except subprocess.CalledProcessError as exc:
+        raise RuntimeError(f"git archive cannot export src/ of {ref!r}: "
+                           f"{exc.stderr.decode(errors='replace').strip()}") from None
+    except OSError as exc:
+        raise RuntimeError(f"git archive cannot export src/ of {ref!r}: {exc}") from None
+    with tempfile.TemporaryDirectory() as tmp:
+        with zipfile.ZipFile(io.BytesIO(archive)) as zf:
+            zf.extractall(tmp)
+        paths = [os.path.join(tmp, "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        proc = subprocess.run([sys.executable, __file__], capture_output=True, text=True,
+                              env=env)
+    if proc.returncode != 0:
+        raise RuntimeError(f"the digest of {ref!r} failed:\n{proc.stderr.strip()}")
+    return dict(line.split(" ") for line in proc.stdout.splitlines())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="REF",
+                        help="compare every group with the src/ of this git ref")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        for name, digest in digests():
+            print(f"{name} {digest}", flush=True)
+        return 0
+    try:
+        theirs = _ref_digests(args.against)
+    except RuntimeError as exc:
+        print(f"output_digest: {exc}", file=sys.stderr)
+        return 2
+    differs = False
+    for name, digest in digests():
+        same = theirs.get(name) == digest
+        differs = differs or not same
+        print(f"{name} {'same' if same else 'differs'}", flush=True)
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":

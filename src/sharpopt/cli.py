@@ -85,6 +85,20 @@ def _load_text(path: str) -> str:
         return fh.read()
 
 
+def _write(text: str, out: str | None, summary: str | None) -> None:
+    """Emit text to out and the summary to stdout, or text to stdout and the summary to stderr.
+
+    Written to out, the summary also names the bytes and the path; None prints no summary.
+    """
+    n = emit(text, out)
+    if summary is None:
+        return
+    if out is not None:
+        print(f"{summary} wrote={n}B path={out}")
+    else:
+        print(summary, file=sys.stderr)
+
+
 def _cmd_run(args) -> int:
     cfg = parse_config(_load_text(args.config))
     if args.out is not None:
@@ -98,12 +112,7 @@ def _cmd_run(args) -> int:
     summary = f"steps={cfg.steps} final_loss={loss:.6g} final_grad_norm={l2_norm(grad):.6g}"
     if cfg.objective.kind == "toy":
         summary += f" minimum={classify_minimum(traj.final_w)}"
-    if cfg.out is not None:
-        n = emit(text, cfg.out)
-        print(f"{summary} wrote={n}B path={cfg.out}")
-    else:
-        emit(text, None)
-        print(summary, file=sys.stderr)
+    _write(text, cfg.out, summary)
     return EXIT_OK
 
 
@@ -112,12 +121,7 @@ def _cmd_sweep(args) -> int:
     rows = sweep(cfg, spec)
     text = format_sweep(rows, args.format)
     diverged = sum(1 for r in rows if r.status != "ok")
-    if args.out is not None:
-        n = emit(text, args.out)
-        print(f"cells={len(rows)} diverged={diverged} wrote={n}B path={args.out}")
-    else:
-        emit(text, None)
-        print(f"cells={len(rows)} diverged={diverged}", file=sys.stderr)
+    _write(text, args.out, f"cells={len(rows)} diverged={diverged}")
     return EXIT_OK
 
 
@@ -128,11 +132,9 @@ def _cmd_toy(args) -> int:
     )
     traj = run(cfg)
     text = format_trajectory(traj, args.format, cfg.record_every)
-    if args.out is not None:
-        n = emit(text, args.out)
-        print(f"minimum={classify_minimum(traj.final_w)} wrote={n}B path={args.out}")
-    else:
-        emit(text, None)
+    # the streamed trajectory is the whole of toy's output
+    summary = None if args.out is None else f"minimum={classify_minimum(traj.final_w)}"
+    _write(text, args.out, summary)
     return EXIT_OK
 
 

@@ -100,7 +100,7 @@ class RunConfig:
     batch_size: int | None = None
     steps: int = 150
     seed: int = 0
-    init: tuple[float, ...] | None = None  # None -> seeded random (toy: (-6, 10))
+    init: tuple[float, ...] | None = None  # None -> init_scale * seeded standard normal
     init_scale: float = 1.0
     record_every: int = 1
     out: str | None = None

@@ -114,24 +114,24 @@ def _advance(cfgs: list[RunConfig], obj: Objective, on_step=None):
     live = np.ones(len(cfgs), dtype=bool)
     failures: list[tuple[int, str] | None] = [None] * len(cfgs)
 
-    for t in range(1, cfg.steps + 1):
-        batch = sampler.batch_at(t) if sampler is not None else FULL_BATCH
-        # a failing or frozen row overflows or meets NaN; only live rows are read
-        with np.errstate(all="ignore"):
+    # a failing or frozen row overflows or meets NaN; only live rows are read
+    with np.errstate(all="ignore"):
+        for t in range(1, cfg.steps + 1):
+            batch = sampler.batch_at(t) if sampler is not None else FULL_BATCH
             out = step(obj, W, batch, state, base_cfg, sam_cfg, t)
-        ok = live & np.isfinite(out.loss_at_w) & np.isfinite(out.new_w).all(axis=1)
-        ok &= state.finite_rows()
-        if on_step is not None:
-            on_step(t, out, ok)
-        if ok.all():
-            W = out.new_w
-            continue
-        for k in np.flatnonzero(live & ~ok):
-            failures[k] = (t, _failure(out, k, t))
-        live = ok
-        if not live.any():
-            return W, failures
-        W = np.where(live[:, None], out.new_w, W)
+            ok = live & np.isfinite(out.loss_at_w) & np.isfinite(out.new_w).all(axis=1)
+            ok &= state.finite_rows()
+            if on_step is not None:
+                on_step(t, out, ok)
+            if ok.all():
+                W = out.new_w
+                continue
+            for k in np.flatnonzero(live & ~ok):
+                failures[k] = (t, _failure(out, k, t))
+            live = ok
+            if not live.any():
+                break
+            W = np.where(live[:, None], out.new_w, W)
     return W, failures
 
 
@@ -162,11 +162,11 @@ def run(cfg: RunConfig, obj: Objective | None = None) -> Trajectory:
             )
 
     final, (failure,) = _advance([cfg], obj, record)
+    traj = Trajectory(records=tuple(records), final_w=final[0]) if records else None
     if failure is not None:
         failed_step, reason = failure
-        partial = Trajectory(records=tuple(records), final_w=final[0]) if records else None
-        raise NumericBlowup(reason, failed_step, partial)
-    return Trajectory(records=tuple(records), final_w=final[0])
+        raise NumericBlowup(reason, failed_step, traj)
+    return traj
 
 
 @dataclass(frozen=True)
@@ -191,14 +191,13 @@ def sweep(cfg: RunConfig, spec: SweepSpec) -> list[SweepRow]:
     initial point.
     """
     axes = [values or (getattr(cfg, field),) for field, values in spec.grids.items()]
-    cells = list(itertools.product(*axes))  # (gamma, rho, alpha, seed)
+    # every cell's config, and so every range check, comes before the first step
+    cells = [replace(cfg, out=None, **dict(zip(spec.grids, values)))
+             for values in itertools.product(*axes)]
     rows: list[SweepRow | None] = [None] * len(cells)
-    for seed in dict.fromkeys(cell[3] for cell in cells):
-        group = [i for i, cell in enumerate(cells) if cell[3] == seed]
-        cfgs = [
-            replace(cfg, gamma=g, rho=r, alpha=a, seed=seed, out=None)
-            for g, r, a, _ in (cells[i] for i in group)
-        ]
+    for seed in dict.fromkeys(c.seed for c in cells):
+        group = [i for i, c in enumerate(cells) if c.seed == seed]
+        cfgs = [cells[i] for i in group]
         obj = build_objective(cfgs[0])
         final, failures = _advance(cfgs, obj)
         start_loss = obj.loss(initial_w(cfgs[0], obj))

@@ -64,12 +64,6 @@ class SamConfig:
         if self.rho_schedule is None:
             object.__setattr__(self, "rho_schedule", constant(self.rho))
 
-    def alpha_at(self, t: int) -> float | np.ndarray:
-        return self.alpha_schedule.value_at(t)
-
-    def rho_at(self, t: int) -> float | np.ndarray:
-        return self.rho_schedule.value_at(t)
-
     @functools.cached_property
     def coefficients(self) -> tuple:
         """gamma_coefficients of gamma, real or column."""
@@ -191,7 +185,8 @@ def step(
     loss, g_tilde = obj.loss_grad(w, batch)
     fed, sharpness, w_adv = g_tilde, None, None
     if mode != VANILLA:
-        w_adv = w + perturb(w, g_tilde, sam_cfg.rho_at(t), sam_cfg.sam_eps, sam_cfg.adaptive)
+        rho_t = sam_cfg.rho_schedule.value_at(t)
+        w_adv = w + perturb(w, g_tilde, rho_t, sam_cfg.sam_eps, sam_cfg.adaptive)
         loss_adv, g = obj.loss_grad(w_adv, batch)
         sharpness = loss_adv - loss
         if mode == SAM:
@@ -204,13 +199,13 @@ def step(
     if mode == WSAM:
         # the sharpness correction rides outside the base update: raw alpha_t,
         # no preconditioning, and never clipped
-        direction = precond_solve(b, m) + sam_cfg.coefficients[0] * (g - g_tilde)
-        new_w = w - sam_cfg.alpha_at(t) * direction
-    else:
-        new_w = apply_update(w, sam_cfg.alpha_at(t), m, b)
+        m, b = precond_solve(b, m) + sam_cfg.coefficients[0] * (g - g_tilde), IDENTITY
+    new_w = apply_update(w, sam_cfg.alpha_schedule.value_at(t), m, b)
     return StepOutput(new_w, loss, row_norms(g_tilde), sharpness, w_adv)
 
 
 def step_sgd_wsam(obj: Objective, w, batch: BatchSpec, sam_cfg: SamConfig, t: int) -> StepOutput:
     """Base-free blended step w - alpha_t * h; the stateless special case."""
-    return step(obj, w, batch, None, None, replace(sam_cfg, mode=COUPLED), t)
+    if sam_cfg.mode != COUPLED:
+        sam_cfg = replace(sam_cfg, mode=COUPLED)
+    return step(obj, w, batch, None, None, sam_cfg, t)

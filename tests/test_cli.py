@@ -1,4 +1,5 @@
 """Command-line surface: outputs, exit codes, and the subprocess entry point."""
+import os
 import subprocess
 import sys
 
@@ -190,3 +191,19 @@ def test_bound_rejects_non_finite_inputs(capfd, flag, value):
     captured = capfd.readouterr()
     assert captured.out == ""
     assert "must be finite" in captured.err
+
+
+def test_the_blas_thread_count_changes_no_output(tmp_path):
+    doc = ("[objective]\nkind = logistic\nnum_examples = 4096\ndim = 256\n"
+           "[optimizer]\nmode = wsam\nbase = adam\nalpha = 0.05\nrho = 0.05\ngamma = 0.7\n"
+           "[run]\nsteps = 10\nseed = 1\n")
+    path = write(tmp_path, doc)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "sharpopt", "run", "--config", path],
+                              capture_output=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 11
+    assert outputs[0] == outputs[1]

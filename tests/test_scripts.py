@@ -43,3 +43,15 @@ def test_output_digest_prints_one_sha256_per_group():
         "logistic_runs", "logistic_sweeps", "quadratic_sweeps", "cli_toy", "cli_config",
     ]
     assert all(len(digest) == 64 and int(digest, 16) >= 0 for _, digest in groups)
+
+
+def test_output_digest_against_an_unknown_ref_exits_two_before_any_group():
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "output_digest.py"), "--against", "no-such-ref"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 2
+    assert "'no-such-ref'" in proc.stderr
+    assert proc.stdout == ""

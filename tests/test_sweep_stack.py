@@ -5,10 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sharpopt import runner
 from sharpopt.analysis import classify_minimum, power_iteration
-from sharpopt.config import ObjectiveSpec, RunConfig, SweepSpec, toy_preset
+from sharpopt.config import ConfigError, ObjectiveSpec, RunConfig, SweepSpec, toy_preset
 from sharpopt.core import l2_norm
 from sharpopt.objectives import FULL_BATCH, Logistic, Objective, Quadratic, ToyLandscape
 from sharpopt.runner import (
@@ -22,6 +24,8 @@ from sharpopt.runner import (
 )
 
 MODES = ("vanilla", "sam", "wsam", "coupled")
+QUADRATIC = ObjectiveSpec(kind="quadratic", a=(2.0, 1.0),
+                          centers=((1.0, -1.0), (0.5, 0.5), (-1.0, 2.0), (0.0, 0.3)))
 
 
 def reference_rows(cfg, spec):
@@ -188,3 +192,42 @@ def test_rows_that_fail_at_different_steps_in_one_stack_match_their_runs(mode, b
     spec = SweepSpec(gammas=(0.0, 0.5), alphas=(0.1, 50.0, 1e200), seeds=(0, 1), eig=True)
     rows = assert_rows_match(cfg, spec)
     assert {"ok", "diverged"} <= {r.status for r in rows}
+
+
+def test_a_bad_grid_value_raises_before_any_step(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return runner.step(*args)
+
+    monkeypatch.setattr(runner, "step", counting)
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        sweep(toy_preset(0.5), SweepSpec(seeds=(0, -1)))
+    assert calls == []
+
+
+# radii and step sizes mostly where runs finish, some where rows overflow
+SCALES = st.one_of(st.floats(0.0, 5.0), st.floats(0.0, 1e200))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    quadratic=st.booleans(),
+    mode=st.sampled_from(MODES),
+    base=st.sampled_from(("sgd", "sgdm", "adam")),
+    clip=st.sampled_from((None, 1.0)),
+    adaptive=st.booleans(),
+    gammas=st.lists(st.floats(0.0, 0.95), min_size=1, max_size=3),
+    rhos=st.lists(SCALES, min_size=1, max_size=2),
+    alphas=st.lists(SCALES, min_size=1, max_size=2),
+)
+def test_generated_grids_match_their_runs(quadratic, mode, base, clip, adaptive, gammas, rhos,
+                                          alphas):
+    if quadratic:
+        cfg = RunConfig(objective=QUADRATIC, batch_size=2, init=None, init_scale=4.0, steps=30)
+    else:
+        cfg = RunConfig(objective=ObjectiveSpec(kind="toy"), init=(-6.0, 10.0), steps=30)
+    cfg = replace(cfg, mode=mode, base_kind=base, clip_norm=clip, adaptive=adaptive)
+    spec = SweepSpec(gammas=tuple(gammas), rhos=tuple(rhos), alphas=tuple(alphas), seeds=(0, 1))
+    assert_rows_match(cfg, spec)

@@ -18,7 +18,9 @@ which prints one "group same|differs" line per group and exits 1 if any
 group differs, or 2 if the ref's sources cannot be exported or digested.
 
 A run that blows up is hashed as its failed step, its message and its last
-finite record, so failure paths are covered too. Takes a few seconds.
+finite record, so failure paths are covered too. The CLI groups also run
+with --out and hash the summary line and the written file, with the
+temporary directory read as <tmp>. Takes a few seconds.
 """
 import argparse
 import contextlib
@@ -110,21 +112,41 @@ def quadratic_sweeps():
         yield format_sweep(sweep(cfg, spec))
 
 
+def _cli(argv, tmp: str, out: str | None = None) -> str:
+    """Exit code, stdout and stderr of `sharpopt argv`, then the file written to out, if any.
+
+    With out, argv gains `--out <out>`; tmp reads as <tmp> in stdout and stderr.
+    """
+    if out is not None:
+        argv = [*argv, "--out", out]
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    stdout.flush()
+    text = (f"exit {code}\n{stdout.buffer.getvalue().decode('utf-8')}"
+            f"stderr\n{stderr.getvalue()}").replace(tmp, "<tmp>")
+    if out is not None and os.path.exists(out):
+        with open(out, "r", encoding="utf-8") as fh:
+            text += f"file\n{fh.read()}"
+        os.remove(out)
+    return text
+
+
 def cli_toy():
-    """stdout of `sharpopt toy` for gamma in {0, 0.6, 0.95} x 4 modes."""
-    for gamma, mode in itertools.product(("0", "0.6", "0.95"), MODES):
-        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
-        with contextlib.redirect_stdout(out):
-            code = cli.main(["toy", "--gamma", gamma, "--mode", mode])
-        out.flush()
-        yield f"exit {code}\n" + out.buffer.getvalue().decode("utf-8")
+    """`sharpopt toy` for gamma in {0, 0.6, 0.95} x 4 modes, then gamma 0.95 with --out."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for gamma, mode in itertools.product(("0", "0.6", "0.95"), MODES):
+            yield _cli(["toy", "--gamma", gamma, "--mode", mode], tmp)
+        for mode in MODES:
+            argv = ["toy", "--gamma", "0.95", "--mode", mode]
+            yield _cli(argv, tmp, os.path.join(tmp, "toy.csv"))
 
 
 TOY_DOC = "[objective]\nkind = toy\n"
 
-# (subcommand, document): valid run and sweep documents, then one per kind of
-# input error, two of them with a second fault that must not be the one reported
-CONFIG_DOCS = (
+# (subcommand, document): valid run and sweep documents
+VALID_DOCS = (
     ("run", TOY_DOC + "[optimizer]\nmode = coupled\ngamma = 0.8\n[run]\nsteps = 30\n"),
     ("run", "[objective]\nkind = quadratic\na = 2.0, 1.0\ncenters = 1.0, -1.0 | 0.0, 0.5\n"
             "[optimizer]\nmode = wsam\nbase = adam\nalpha = 0.05\nrho = 0.3\ngamma = 0.7\n"
@@ -133,6 +155,11 @@ CONFIG_DOCS = (
             "[optimizer]\nalpha = 0.1\nrho = 0.05\nbatch_size = 8\n"
             "[run]\nsteps = 25\nseed = 2\nrecord_every = 5\n"),
     ("sweep", TOY_DOC + "[run]\nsteps = 60\n[sweep]\ngamma = 0, 0.5, 0.9\nrho = 1, 2\neig = true\n"),
+)
+
+# one document per kind of input error, two of them with a second fault that
+# must not be the one reported
+INVALID_DOCS = (
     ("run", "[objective]\nkind = cubic\n"),
     ("run", "[objective]\nkind = toy\na = 1, 2\n"),
     ("run", "[objective]\nkind = quadratic\ncsv = data.csv\n"),
@@ -145,18 +172,18 @@ CONFIG_DOCS = (
 
 
 def cli_config():
-    """Exit code, stdout and stderr of `sharpopt run|sweep --config` on CONFIG_DOCS."""
+    """`sharpopt run|sweep --config` on every document, then on each valid one with --out."""
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (command, doc) in enumerate(CONFIG_DOCS):
+        argvs = []
+        for i, (command, doc) in enumerate(VALID_DOCS + INVALID_DOCS):
             path = os.path.join(tmp, f"{i}.ini")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(doc)
-            out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
-            err = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main([command, "--config", path])
-            out.flush()
-            yield f"exit {code}\n{out.buffer.getvalue().decode('utf-8')}stderr\n{err.getvalue()}"
+            argvs.append([command, "--config", path])
+        for argv in argvs:
+            yield _cli(argv, tmp)
+        for argv in argvs[:len(VALID_DOCS)]:
+            yield _cli(argv, tmp, os.path.join(tmp, "out"))
 
 
 def digests():

@@ -82,6 +82,8 @@ def _schedule(name: str, kind: str, base: float) -> Schedule:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run; construction checks every field's range, then init's length for the objective."""
+
     objective: ObjectiveSpec = ObjectiveSpec()
     mode: str = SAM
     base_kind: str = SGDM
@@ -125,6 +127,10 @@ class RunConfig:
             self.base_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if self.init is not None:
+            dim = objective_dim(self.objective)
+            if len(self.init) != dim:
+                raise ConfigError(f"init must have {dim} entries for this objective")
 
     def sam_config(self) -> SamConfig:
         return SamConfig(
@@ -144,7 +150,11 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A grid over gamma, rho, alpha and seed; an empty grid keeps the run's value."""
+    """A grid over gamma, rho, alpha and seed; an empty grid keeps the run's value.
+
+    Construction checks the cell cap, then each value, in grid order, with
+    RunConfig's rule for its field, which reads no other field of the run.
+    """
 
     gammas: tuple[float, ...] = ()
     rhos: tuple[float, ...] = ()
@@ -159,6 +169,10 @@ class SweepSpec:
         n_cells = math.prod(max(1, len(values)) for values in self.grids.values())
         if n_cells > self.max_cells:
             raise ConfigError(f"sweep has {n_cells} cells, above the cap {self.max_cells}")
+        base = RunConfig()
+        for field, values in self.grids.items():
+            for value in values:
+                replace(base, **{field: value})
 
     @property
     def grids(self) -> dict[str, tuple]:
@@ -303,17 +317,12 @@ def _run_config(parser: configparser.ConfigParser) -> RunConfig:
     kind = sec.get("kind", ObjectiveSpec.kind).strip()
     ObjectiveSpec._check_reads(kind, {_FIELDS["objective", key][0]: key for key in sec})
     objective = ObjectiveSpec(**_values(parser, "objective"))
-    cfg = RunConfig(objective=objective, **_values(parser, "optimizer"), **_values(parser, "run"))
-
+    values = _values(parser, "optimizer") | _values(parser, "run")
     # the toy demo starts from its canonical point unless 'random' was asked for
-    explicit_random_init = parser.get("run", "init", fallback="").strip() == "random"
-    if cfg.init is None and not explicit_random_init and cfg.objective.kind == "toy":
-        cfg = replace(cfg, init=TOY_INIT)
-    if cfg.init is not None:
-        dim = objective_dim(cfg.objective)
-        if len(cfg.init) != dim:
-            raise ConfigError(f"init must have {dim} entries for this objective")
-    return cfg
+    random_init = parser.get("run", "init", fallback="").strip() == "random"
+    if objective.kind == "toy" and values.get("init") is None and not random_init:
+        values["init"] = TOY_INIT
+    return RunConfig(objective=objective, **values)
 
 
 def parse_sweep_config(text: str) -> tuple[RunConfig, SweepSpec]:
@@ -322,11 +331,7 @@ def parse_sweep_config(text: str) -> tuple[RunConfig, SweepSpec]:
     cfg = _run_config(parser)
     if not parser.has_section("sweep"):
         raise ConfigError("missing [sweep] section")
-    spec = SweepSpec(**_values(parser, "sweep"))
-    for field, values in spec.grids.items():
-        for value in values:
-            replace(cfg, **{field: value})  # RunConfig checks the value's range
-    return cfg, spec
+    return cfg, SweepSpec(**_values(parser, "sweep"))
 
 
 def objective_dim(spec: ObjectiveSpec) -> int:

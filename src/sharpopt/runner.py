@@ -52,9 +52,7 @@ class NumericBlowup(RuntimeError):
 
     @property
     def last_finite_record(self) -> StepRecord | None:
-        if self.trajectory is None:
-            return None
-        return self.trajectory.records[-1]
+        return None if self.trajectory is None else self.trajectory.records[-1]
 
 
 def build_objective(cfg: RunConfig) -> Objective:
@@ -191,7 +189,7 @@ def sweep(cfg: RunConfig, spec: SweepSpec) -> list[SweepRow]:
     initial point.
     """
     axes = [values or (getattr(cfg, field),) for field, values in spec.grids.items()]
-    # every cell's config, and so every range check, comes before the first step
+    # cfg has checked its fields and spec its values, so no cell can fail a range check
     cells = [replace(cfg, out=None, **dict(zip(spec.grids, values)))
              for values in itertools.product(*axes)]
     rows: list[SweepRow | None] = [None] * len(cells)
@@ -199,8 +197,9 @@ def sweep(cfg: RunConfig, spec: SweepSpec) -> list[SweepRow]:
         group = [i for i, c in enumerate(cells) if c.seed == seed]
         cfgs = [cells[i] for i in group]
         obj = build_objective(cfgs[0])
-        final, failures = _advance(cfgs, obj)
+        # a start outside the domain raises here, before the group's first step
         start_loss = obj.loss(initial_w(cfgs[0], obj))
+        final, failures = _advance(cfgs, obj)
         # a final point outside the domain reads NaN here, so its row is diverged
         with np.errstate(all="ignore"):
             losses, grads = obj.loss_grad(final)
@@ -214,13 +213,9 @@ def _row(cfg: RunConfig, spec: SweepSpec, obj: Objective, w, loss: float, grad,
          finished: bool, start_loss: float) -> SweepRow:
     """A cell's row from its final point and the full-batch loss and gradient there."""
     cell = (cfg.gamma, cfg.rho, cfg.alpha, cfg.seed)
-    if not finished:
+    if not finished or not math.isfinite(loss) or loss > start_loss:
         return SweepRow(*cell, "diverged")
-    if not math.isfinite(loss) or loss > start_loss:
-        return SweepRow(*cell, "diverged")
-    lam = None
-    if spec.eig:
-        lam = power_iteration(obj, w, seed=cfg.seed).lambda_max
+    lam = power_iteration(obj, w, seed=cfg.seed).lambda_max if spec.eig else None
     minimum = classify_minimum(w) if cfg.objective.kind == "toy" else None
     return SweepRow(*cell, "ok", loss, l2_norm(grad), lam, minimum)
 
@@ -288,6 +283,8 @@ def read_trajectory_csv(path: str) -> Trajectory:
     """Rebuild a Trajectory from an emitted CSV with w columns."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, 1) if ln.strip()]
+    if len(lines) < 2:
+        raise ValueError(f"{path}: a trajectory CSV needs a header and at least one row")
     header = lines[0][1].split(",")
     if header[:4] != ["step", "loss", "grad_norm", "sharpness"]:
         raise ValueError("not a trajectory CSV")
@@ -298,9 +295,7 @@ def read_trajectory_csv(path: str) -> Trajectory:
     for n, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != len(header):
-            raise ValueError(
-                f"{path} line {n}: {len(parts)} fields, the header has {len(header)}"
-            )
+            raise ValueError(f"{path} line {n}: {len(parts)} fields, the header has {len(header)}")
         records.append(
             StepRecord(
                 t=int(parts[0]),

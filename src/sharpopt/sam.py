@@ -54,15 +54,14 @@ class SamConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not holds(self.rho >= 0.0):
-            raise ValueError("rho must be >= 0")
+        rho_default = constant(self.rho)  # raises unless rho is a finite real >= 0
         gamma_coefficients(self.gamma)  # raises unless gamma is in [0,1)
         if not self.sam_eps > 0.0:
             raise ValueError("sam_eps must be > 0")
         if self.clip_norm is not None and not self.clip_norm > 0.0:
             raise ValueError("clip_norm must be > 0 when set")
         if self.rho_schedule is None:
-            object.__setattr__(self, "rho_schedule", constant(self.rho))
+            object.__setattr__(self, "rho_schedule", rho_default)
 
     @functools.cached_property
     def coefficients(self) -> tuple:

@@ -1,12 +1,18 @@
 """Command-line surface: outputs, exit codes, and the subprocess entry point."""
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sharpopt import cli
+from sharpopt import cli, runner
 from sharpopt.cli import main
+from sharpopt.config import ConfigError, parse_config, parse_sweep_config
 
 TOY_DOC = "[objective]\nkind = toy\n"
 QUAD_DOC = """
@@ -207,3 +213,77 @@ def test_the_blas_thread_count_changes_no_output(tmp_path):
         outputs.append(proc.stdout)
     assert len(outputs[0].splitlines()) == 11
     assert outputs[0] == outputs[1]
+
+
+# --- generated documents ---------------------------------------------------------
+
+# each value is drawn from the key's valid ones and from these
+ODD_VALUES = ("-1", "1.5", "nan", "inf", "1e400", "abc", "")
+VALID_VALUES = {
+    "optimizer": {
+        "mode": ("vanilla", "sam", "wsam", "coupled"), "base": ("sgd", "sgdm", "adam"),
+        "alpha": ("0.1", "5"), "rho": ("0", "0.5", "2"), "gamma": ("0", "0.5", "0.9"),
+        "momentum": ("0", "0.9"), "beta1": ("0.9",), "beta2": ("0.999",),
+        "eps_adam": ("1e-8",), "sam_eps": ("1e-12",), "adaptive": ("true", "false"),
+        "clip_norm": ("1",), "batch_size": ("1",),
+    },
+    "run": {
+        "steps": ("1", "2", "3"), "seed": ("0", "1", "7"), "init": ("-6, 10", "random"),
+        "init_scale": ("0.5", "1"), "record_every": ("1", "2"), "format": ("csv", "jsonl"),
+    },
+}
+GRID_VALUES = {"gamma": ("0", "0.5", "0.9"), "rho": ("0.5", "2"), "alpha": ("0.1", "5"),
+               "seed": ("0", "1", "7")}
+
+
+def section(name):
+    """Some of the section's keys, each with a valid or an odd value."""
+    values = VALID_VALUES[name]
+    keys = st.lists(st.sampled_from(sorted(values)), max_size=4, unique=True)
+    return keys.flatmap(lambda ks: st.tuples(*(
+        st.sampled_from(values[k] + ODD_VALUES).map(lambda v, k=k: f"{k} = {v}\n") for k in ks
+    ))).map(lambda lines: f"[{name}]\n" + "".join(lines))
+
+
+def grid_line(key):
+    value = st.sampled_from(GRID_VALUES[key] + ODD_VALUES)
+    return st.lists(value, min_size=1, max_size=3).map(lambda vs: f"{key} = {', '.join(vs)}\n")
+
+
+SWEEP_SECTION = st.tuples(
+    *(st.one_of(st.just(""), grid_line(key)) for key in GRID_VALUES),
+    st.sampled_from(("", "eig = true\n", "eig = false\n", "max_cells = 2\n", "max_cells = abc\n")),
+).map(lambda lines: "[sweep]\n" + "".join(lines))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(command=st.sampled_from(("run", "sweep")), optimizer=section("optimizer"),
+       run_section=section("run"), sweep_section=SWEEP_SECTION)
+def test_generated_documents_exit_one_only_before_any_step(command, optimizer, run_section,
+                                                            sweep_section):
+    doc = TOY_DOC + optimizer + run_section + (sweep_section if command == "sweep" else "")
+    parse = parse_sweep_config if command == "sweep" else parse_config
+    try:
+        parse(doc)
+        rejection = None
+    except ConfigError as exc:
+        rejection = f"sharpopt: {exc}\n"
+    calls, step = [], runner.step
+
+    def counting(*args):
+        calls.append(1)
+        return step(*args)
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "step", counting)
+        path = os.path.join(tmp, "cfg.ini")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(doc)
+        stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([command, "--config", path])
+    assert code in (0, 1, 2)
+    if rejection is not None:
+        assert (code, stderr.getvalue()) == (1, rejection)
+    if code == 1:
+        assert calls == [], stderr.getvalue()

@@ -1,5 +1,6 @@
 import pytest
 
+from sharpopt.cli import main
 from sharpopt.config import (
     ConfigError,
     ObjectiveSpec,
@@ -260,3 +261,24 @@ def test_sweep_spec_checks_max_cells_and_the_cell_cap_when_constructed():
         SweepSpec(gammas=(0.1, 0.2, 0.3), max_cells=2)
     spec = SweepSpec(gammas=(0.1, 0.2), seeds=(0, 1), max_cells=4)
     assert spec.grids == {"gamma": (0.1, 0.2), "rho": (), "alpha": (), "seed": (0, 1)}
+
+
+def test_a_grid_reports_its_first_bad_value_in_code_as_at_the_cli(tmp_path, capfd):
+    with pytest.raises(ConfigError, match=r"^gamma must be in \[0,1\)$"):
+        SweepSpec(gammas=(1.5,), seeds=(-1,))
+    path = tmp_path / "cfg.ini"
+    path.write_text(MINIMAL + "[sweep]\ngamma = 1.5\nseed = -1\n")
+    assert main(["sweep", "--config", str(path)]) == 1
+    assert capfd.readouterr().err == "sharpopt: gamma must be in [0,1)\n"
+
+
+def test_run_config_checks_the_length_of_init_as_the_reader_does():
+    quadratic = ObjectiveSpec(kind="quadratic", a=(1.0, 2.0), centers=((0.0, 0.0),))
+    message = r"^init must have 2 entries for this objective$"
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(objective=quadratic, init=(1.0, 2.0, 3.0))
+    with pytest.raises(ConfigError, match=message):
+        parse_config("[objective]\nkind = quadratic\na = 1, 2\ncenters = 0, 0\n"
+                     "[run]\ninit = 1, 2, 3\n")
+    with pytest.raises(ConfigError, match="CSV-backed"):
+        RunConfig(objective=ObjectiveSpec(kind="logistic", csv_path="data.csv"), init=(1.0,))

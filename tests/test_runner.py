@@ -218,6 +218,14 @@ def test_trajectory_csv_rejects_a_row_of_the_wrong_width(tmp_path, row):
         read_trajectory_csv(str(path))
 
 
+@pytest.mark.parametrize("text", ["", "\n \n", "step,loss,grad_norm,sharpness,w_0,w_1\n"])
+def test_trajectory_csv_without_rows_names_its_path(tmp_path, text):
+    path = tmp_path / "traj.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="traj.csv: a trajectory CSV needs a header"):
+        read_trajectory_csv(str(path))
+
+
 def test_trajectory_jsonl_lines_parse():
     traj = run(replace(QUAD_CFG, mode="vanilla", steps=2))
     lines = format_trajectory(traj, "jsonl").splitlines()

@@ -119,6 +119,12 @@ def test_config_validation():
         cfg_for("sam", 1.0, clip_norm=0.0)
 
 
+@pytest.mark.parametrize("rho", [math.inf, -1.0])
+def test_rho_obeys_the_schedule_rule_beside_an_explicit_schedule(rho):
+    with pytest.raises(ValueError, match="schedule base must be a finite nonnegative real"):
+        SamConfig(alpha_schedule=constant(1.0), rho=rho, rho_schedule=constant(0.1))
+
+
 # --- step outputs ------------------------------------------------------------
 
 def test_step_reports_the_prestep_loss_and_clean_grad_norm():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharpopt import runner
+from sharpopt import cli, runner
 from sharpopt.analysis import classify_minimum, power_iteration
 from sharpopt.config import ConfigError, ObjectiveSpec, RunConfig, SweepSpec, toy_preset
 from sharpopt.core import l2_norm
@@ -204,6 +204,21 @@ def test_a_bad_grid_value_raises_before_any_step(monkeypatch):
     monkeypatch.setattr(runner, "step", counting)
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         sweep(toy_preset(0.5), SweepSpec(seeds=(0, -1)))
+    assert calls == []
+
+
+def test_a_sweep_from_outside_the_domain_exits_one_before_any_step(tmp_path, capfd, monkeypatch):
+    calls, step = [], runner.step
+
+    def counting(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(runner, "step", counting)
+    path = tmp_path / "cfg.ini"
+    path.write_text("[objective]\nkind = toy\n[run]\ninit = 0, -1\n[sweep]\ngamma = 0.5\n")
+    assert cli.main(["sweep", "--config", str(path)]) == 1
+    assert capfd.readouterr().err == "sharpopt: toy landscape requires sigma > 0\n"
     assert calls == []
 
 

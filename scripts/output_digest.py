@@ -172,7 +172,11 @@ INVALID_DOCS = (
 
 
 def cli_config():
-    """`sharpopt run|sweep --config` on every document, then on each valid one with --out."""
+    """`sharpopt run|sweep --config` on every document, then on each valid one with --out.
+
+    Then `eig --at final|init` on each valid run document, `bound` on the
+    README example and with a NaN radius, and `check-grad`.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         argvs = []
         for i, (command, doc) in enumerate(VALID_DOCS + INVALID_DOCS):
@@ -184,6 +188,14 @@ def cli_config():
             yield _cli(argv, tmp)
         for argv in argvs[:len(VALID_DOCS)]:
             yield _cli(argv, tmp, os.path.join(tmp, "out"))
+        for (command, _), argv in zip(VALID_DOCS, argvs):
+            if command == "run":
+                for at in ("final", "init"):
+                    yield _cli(["eig", *argv[1:], "--at", at], tmp)
+        for rho in ("0.1", "nan"):  # the README example, then a NaN radius
+            yield _cli(["bound", "--d", "10", "--m", "1000", "--n", "5", "--rho", rho, "--gamma",
+                        "0.9", "--delta", "0.05", "--wnorm", "1", "--loss", "0.1"], tmp)
+        yield _cli(["check-grad"], tmp)
 
 
 def digests():

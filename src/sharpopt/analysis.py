@@ -201,8 +201,9 @@ def generalization_bound(inp: GenBoundInputs) -> float:
     ratio = (inp.weight_norm / inp.rho) ** 2 * (1.0 + math.sqrt(math.log(m) / n)) ** 2
     c2 = n * math.log1p(ratio)
     c3 = 4.0 * math.log(m / inp.delta) + 8.0 * math.log(6.0 * m + 3.0 * n)
-    first = 2.0 * abs(1.0 - 2.0 * inp.gamma) / (1.0 - inp.gamma) * math.sqrt(c1 / m)
-    second = inp.gamma / (1.0 - inp.gamma) * math.sqrt((c2 + c3) / (m - 1.0))
+    c_adv, c_clean = gamma_coefficients(inp.gamma)
+    first = 2.0 * abs(c_clean) * math.sqrt(c1 / m)
+    second = c_adv * math.sqrt((c2 + c3) / (m - 1.0))
     return inp.empirical_wsam_loss + first + second
 
 

@@ -1,9 +1,9 @@
 """Dense 64-bit vector arithmetic shared by every optimizer step.
 
-``l2_norm`` and ``dot`` reduce with ``np.matmul`` and ``row_norms`` with
-``np.vecdot``, which gives each row of a stack the bits ``np.matmul`` gives
-it alone; repeated runs give bitwise-identical results on the same machine
-and numpy/BLAS build.
+Every reduction, ``dot``, ``l2_norm`` and ``row_norms``, goes through
+``np.vecdot``, which gives each row of a stack the bits it gives that row
+alone; repeated runs give bitwise-identical results on the same machine and
+numpy/BLAS build.
 """
 from __future__ import annotations
 
@@ -47,11 +47,11 @@ def _check_same_dim(u: np.ndarray, v: np.ndarray) -> None:
 
 def dot(u, v) -> float:
     _check_same_dim(u, v)
-    return float(np.matmul(u, v))
+    return float(np.vecdot(u, v))
 
 
 def l2_norm(v) -> float:
-    return math.sqrt(np.matmul(v, v))
+    return math.sqrt(np.vecdot(v, v))
 
 
 def row_norms(v) -> np.ndarray:

@@ -137,10 +137,14 @@ def _evaluate(point, w, dim: int) -> tuple:
 
     point(v) evaluates one float64 vector v; the gradient may be any sequence
     of reals. A point is checked with ``as_vector`` first, a stack is not.
+    A point whose scalar math overflows reads NaN, as a stack row does.
     """
     if np.ndim(w) == 2:
         return _by_row(point, w)
-    loss, grad = point(as_vector(w, dim=dim))
+    try:
+        loss, grad = point(as_vector(w, dim=dim))
+    except ArithmeticError:
+        return math.nan, np.full(dim, np.nan)
     return loss, np.asarray(grad)
 
 

@@ -5,10 +5,10 @@ Seed streams: [seed, 0] initializes w, [seed, 1, t] draws step t's batch,
 stream is addressed independently, so runs replay bitwise on the same
 machine and numpy/BLAS build.
 
-One step loop, ``_advance``, advances a (K, d) stack of runs that share a
-seed: one ``step`` call per step for the whole stack. ``run`` is its
-one-row case. ``sweep`` groups its grid cells by seed, builds each group's
-objective once and advances the group's cells together; since every row is
+One step loop, ``_advance``, advances one config's runs for K (gamma, rho,
+alpha) cells as a (K, d) stack: one ``step`` call per step for the whole
+stack. ``run`` is its one-row case. ``sweep`` groups its grid cells by
+seed and advances each group's cells together; since every row is
 evaluated with the point arithmetic, each sweep row equals the ``run`` of
 its cell bit for bit. A row that fails stays in the stack, frozen at its
 last finite point, while the others carry on, so the stack keeps its K rows
@@ -26,7 +26,7 @@ import numpy as np
 from .analysis import StepRecord, Trajectory, classify_minimum, power_iteration
 from .base_optimizers import BaseOptState
 from .config import RunConfig, SweepSpec
-from .core import as_vector, l2_norm
+from .core import Schedule, as_vector, l2_norm
 from .objectives import (
     FULL_BATCH,
     SEED_STREAM_INIT,
@@ -37,7 +37,7 @@ from .objectives import (
     RowByRow,
     ToyLandscape,
 )
-from .sam import SamConfig, StepOutput, step
+from .sam import StepOutput, step
 
 SNAPSHOT_DIM_LIMIT = 16
 
@@ -86,20 +86,22 @@ def _failure(out: StepOutput, k: int, t: int) -> str:
     return f"non-finite iterate at step {t}"
 
 
-def _advance(cfgs: list[RunConfig], obj: Objective, on_step=None):
-    """Advance the runs of cfgs together as one (K, d) stack; the one step loop.
+def _advance(cfg: RunConfig, cells: list[tuple], obj: Objective, on_step=None):
+    """Advance one run of cfg per (gamma, rho, alpha) cell as one (K, d) stack; the one step loop.
 
-    The configs share everything but gamma, rho and alpha. A row fails at
-    step t when its loss there, its perturbed point, its new point or its
-    base state is not finite; it then stays in the stack, frozen at its last
-    finite point, while the others carry on. on_step(t, out, ok) sees every
-    step's output and which rows are still live after it. Returns the final
-    points and, per row, None or (failed step, reason).
+    A row fails at step t when its loss there, its perturbed point, its new
+    point or its base state is not finite; it then stays in the stack, frozen
+    at its last finite point, while the others carry on. A start outside the
+    domain raises its DomainError. on_step(t, out, ok) sees every step's
+    output and which rows are still live after it. Returns the final points
+    and, per row, None or (failed step, reason).
     """
-    cfg = cfgs[0]
     if not obj.accepts_stacks:
         obj = RowByRow(obj)
-    sam_cfg = SamConfig.stack([c.sam_config() for c in cfgs])
+    gamma, rho, alpha = (np.array(col, dtype=np.float64).reshape(-1, 1) for col in zip(*cells))
+    sam_cfg = replace(cfg.sam_config(), gamma=gamma, rho=rho,
+                      rho_schedule=Schedule(cfg.rho_schedule, rho),
+                      alpha_schedule=Schedule(cfg.alpha_schedule, alpha))
     base_cfg = cfg.base_config()
     state = BaseOptState(dim=obj.dim)
     sampler = None
@@ -108,9 +110,9 @@ def _advance(cfgs: list[RunConfig], obj: Objective, on_step=None):
             seed=cfg.seed, batch_size=cfg.batch_size, num_examples=obj.num_examples
         )
     w0 = as_vector(initial_w(cfg, obj), dim=obj.dim)
-    W = np.tile(w0, (len(cfgs), 1))
-    live = np.ones(len(cfgs), dtype=bool)
-    failures: list[tuple[int, str] | None] = [None] * len(cfgs)
+    W = np.tile(w0, (len(cells), 1))
+    live = np.ones(len(cells), dtype=bool)
+    failures: list[tuple[int, str] | None] = [None] * len(cells)
 
     # a failing or frozen row overflows or meets NaN; only live rows are read
     with np.errstate(all="ignore"):
@@ -124,6 +126,8 @@ def _advance(cfgs: list[RunConfig], obj: Objective, on_step=None):
             if ok.all():
                 W = out.new_w
                 continue
+            if t == 1 and not math.isfinite(out.loss_at_w[0]):
+                obj.loss(w0, batch)  # a stack row reads NaN where the point raises
             for k in np.flatnonzero(live & ~ok):
                 failures[k] = (t, _failure(out, k, t))
             live = ok
@@ -159,7 +163,7 @@ def run(cfg: RunConfig, obj: Objective | None = None) -> Trajectory:
                 )
             )
 
-    final, (failure,) = _advance([cfg], obj, record)
+    final, (failure,) = _advance(cfg, [(cfg.gamma, cfg.rho, cfg.alpha)], obj, record)
     traj = Trajectory(records=tuple(records), final_w=final[0]) if records else None
     if failure is not None:
         failed_step, reason = failure
@@ -189,30 +193,28 @@ def sweep(cfg: RunConfig, spec: SweepSpec) -> list[SweepRow]:
     initial point.
     """
     axes = [values or (getattr(cfg, field),) for field, values in spec.grids.items()]
-    # cfg has checked its fields and spec its values, so no cell can fail a range check
-    cells = [replace(cfg, out=None, **dict(zip(spec.grids, values)))
-             for values in itertools.product(*axes)]
+    # (gamma, rho, alpha, seed) cells; spec has checked its values with cfg's rules
+    cells = list(itertools.product(*axes))
     rows: list[SweepRow | None] = [None] * len(cells)
-    for seed in dict.fromkeys(c.seed for c in cells):
-        group = [i for i, c in enumerate(cells) if c.seed == seed]
-        cfgs = [cells[i] for i in group]
-        obj = build_objective(cfgs[0])
+    for seed in dict.fromkeys(cell[3] for cell in cells):
+        group = [i for i, cell in enumerate(cells) if cell[3] == seed]
+        seed_cfg = replace(cfg, seed=seed)
+        obj = build_objective(seed_cfg)
         # a start outside the domain raises here, before the group's first step
-        start_loss = obj.loss(initial_w(cfgs[0], obj))
-        final, failures = _advance(cfgs, obj)
+        start_loss = obj.loss(initial_w(seed_cfg, obj))
+        final, failures = _advance(seed_cfg, [cells[i][:3] for i in group], obj)
         # a final point outside the domain reads NaN here, so its row is diverged
         with np.errstate(all="ignore"):
             losses, grads = obj.loss_grad(final)
         ends = zip(final, losses.tolist(), grads)
-        for i, rcfg, (w, loss, grad), failure in zip(group, cfgs, ends, failures):
-            rows[i] = _row(rcfg, spec, obj, w, loss, grad, failure is None, start_loss)
+        for i, (w, loss, grad), failure in zip(group, ends, failures):
+            rows[i] = _row(seed_cfg, spec, cells[i], obj, w, loss, grad, not failure, start_loss)
     return rows
 
 
-def _row(cfg: RunConfig, spec: SweepSpec, obj: Objective, w, loss: float, grad,
+def _row(cfg: RunConfig, spec: SweepSpec, cell: tuple, obj: Objective, w, loss: float, grad,
          finished: bool, start_loss: float) -> SweepRow:
     """A cell's row from its final point and the full-batch loss and gradient there."""
-    cell = (cfg.gamma, cfg.rho, cfg.alpha, cfg.seed)
     if not finished or not math.isfinite(loss) or loss > start_loss:
         return SweepRow(*cell, "diverged")
     lam = power_iteration(obj, w, seed=cfg.seed).lambda_max if spec.eig else None

@@ -11,7 +11,7 @@ of the blended step: ``step`` in coupled mode with no base state. Both
 gradients of a step always use the same batch.
 
 The step is row-wise: w may be one point or a (K, d) stack of K runs that
-share the batch, with ``SamConfig.stack`` holding their gamma, rho and alpha
+share the batch, with the ``SamConfig`` holding their gamma, rho and alpha
 as (K, 1) columns. Each row gets the bits it would get alone. A step does
 not re-check its points: the run loop checks shapes once and each new point
 for finiteness.
@@ -38,8 +38,8 @@ MODES = (VANILLA, SAM, WSAM, COUPLED)
 class SamConfig:
     """Stepping hyperparameters; vanilla mode ignores rho, gamma, adaptive.
 
-    gamma, rho and the schedules' bases are reals, or (K, 1) columns in a
-    config built by ``stack``.
+    gamma, rho and the schedules' bases are reals, or (K, 1) columns of
+    one value per row of a stack.
     """
 
     alpha_schedule: Schedule
@@ -67,31 +67,6 @@ class SamConfig:
     def coefficients(self) -> tuple:
         """gamma_coefficients of gamma, real or column."""
         return gamma_coefficients(self.gamma)
-
-    @staticmethod
-    def stack(configs: list[SamConfig]) -> SamConfig:
-        """One config for a stack of runs: their gamma, rho and alpha as (K, 1) columns.
-
-        The configs may differ only in those three values.
-        """
-        first = configs[0]
-        shared = {(c.mode, c.sam_eps, c.adaptive, c.clip_norm,
-                   c.rho_schedule.kind, c.alpha_schedule.kind) for c in configs}
-        if len(shared) != 1:
-            raise ValueError("stacked configs may differ only in gamma, rho and alpha")
-
-        def column(values) -> np.ndarray:
-            return np.array(values, dtype=np.float64).reshape(-1, 1)
-
-        return replace(
-            first,
-            gamma=column([c.gamma for c in configs]),
-            rho=column([c.rho for c in configs]),
-            rho_schedule=Schedule(first.rho_schedule.kind,
-                                  column([c.rho_schedule.base for c in configs])),
-            alpha_schedule=Schedule(first.alpha_schedule.kind,
-                                    column([c.alpha_schedule.base for c in configs])),
-        )
 
 
 @dataclass(frozen=True)

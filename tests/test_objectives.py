@@ -73,6 +73,14 @@ def test_toy_loss_finite_far_from_both_basins():
     assert math.isfinite(toy_loss((-500.0, 400.0)))
 
 
+def test_toy_point_whose_math_overflows_reads_nan():
+    # (mu - m)^2 overflows a Python float; the point reads NaN, as a stack row does
+    loss, grad = ToyLandscape().loss_grad((1e200, 1.0))
+    assert math.isnan(loss)
+    assert np.isnan(grad).all() and grad.shape == (2,)
+    assert math.isnan(ToyLandscape().loss((1e200, 1.0)))
+
+
 def test_toy_gradient_matches_oracle_at_start_point():
     obj = ToyLandscape()
     w = np.array([-6.0, 10.0])

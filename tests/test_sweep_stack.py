@@ -222,6 +222,30 @@ def test_a_sweep_from_outside_the_domain_exits_one_before_any_step(tmp_path, cap
     assert calls == []
 
 
+def test_a_run_from_outside_the_domain_exits_one_like_the_sweep(tmp_path, capfd):
+    doc = "[objective]\nkind = toy\n[run]\ninit = 0, -1\n"
+    run_path, sweep_path = tmp_path / "run.ini", tmp_path / "sweep.ini"
+    run_path.write_text(doc)
+    sweep_path.write_text(doc + "[sweep]\ngamma = 0.5\n")
+    assert cli.main(["sweep", "--config", str(sweep_path)]) == 1
+    sweep_err = capfd.readouterr().err
+    assert cli.main(["run", "--config", str(run_path)]) == 1
+    assert capfd.readouterr().err == sweep_err == "sharpopt: toy landscape requires sigma > 0\n"
+
+
+def test_an_overflowing_start_fails_the_run_and_diverges_the_sweep(tmp_path, capfd):
+    doc = "[objective]\nkind = toy\n[run]\ninit = 1e200, 1\nsteps = 10\n"
+    run_path, sweep_path = tmp_path / "run.ini", tmp_path / "sweep.ini"
+    run_path.write_text(doc)
+    sweep_path.write_text(doc + "[sweep]\ngamma = 0.5\n")
+    assert cli.main(["run", "--config", str(run_path)]) == 2
+    assert capfd.readouterr().err == "sharpopt: non-finite loss at step 1\n"
+    assert cli.main(["sweep", "--config", str(sweep_path)]) == 0
+    out, err = capfd.readouterr()
+    assert out.splitlines()[1:] == ["0.5,2,5,0,diverged,,,,"]
+    assert "Traceback" not in err and err == "cells=1 diverged=1\n"
+
+
 # radii and step sizes mostly where runs finish, some where rows overflow
 SCALES = st.one_of(st.floats(0.0, 5.0), st.floats(0.0, 1e200))
 

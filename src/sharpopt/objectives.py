@@ -115,6 +115,9 @@ class Objective:
     def grad(self, w, batch: BatchSpec = FULL_BATCH) -> np.ndarray:
         return self.loss_grad(w, batch)[1]
 
+    def check_domain(self, w: np.ndarray) -> None:
+        """Raise DomainError if w is outside the domain; reads no data. Every finite w is inside here."""
+
 
 def _by_row(evaluate, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate a stack one row at a time with the point arithmetic.
@@ -236,6 +239,9 @@ class ToyLandscape(Objective):
 
     def loss_grad(self, w, batch: BatchSpec = FULL_BATCH) -> tuple[float, np.ndarray]:
         return _evaluate(lambda v: _toy_point(v, self.params), w, self.dim)
+
+    def check_domain(self, w: np.ndarray) -> None:
+        self.loss_grad(w)  # the point path raises DomainError at sigma <= 0
 
 
 def quadratic_eval(a, center, w) -> tuple[float, np.ndarray]:

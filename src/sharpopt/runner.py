@@ -92,10 +92,13 @@ def _advance(cfg: RunConfig, cells: list[tuple], obj: Objective, on_step=None):
     A row fails at step t when its loss there, its perturbed point, its new
     point or its base state is not finite; it then stays in the stack, frozen
     at its last finite point, while the others carry on. A start outside the
-    domain raises its DomainError. on_step(t, out, ok) sees every step's
-    output and which rows are still live after it. Returns the final points
-    and, per row, None or (failed step, reason).
+    domain is an input fault: its DomainError is raised before the first
+    step. on_step(t, out, ok) sees every step's output and which rows are
+    still live after it. Returns the final points and, per row, None or
+    (failed step, reason).
     """
+    w0 = as_vector(initial_w(cfg, obj), dim=obj.dim)
+    obj.check_domain(w0)
     if not obj.accepts_stacks:
         obj = RowByRow(obj)
     gamma, rho, alpha = (np.array(col, dtype=np.float64).reshape(-1, 1) for col in zip(*cells))
@@ -109,7 +112,6 @@ def _advance(cfg: RunConfig, cells: list[tuple], obj: Objective, on_step=None):
         sampler = BatchSampler(
             seed=cfg.seed, batch_size=cfg.batch_size, num_examples=obj.num_examples
         )
-    w0 = as_vector(initial_w(cfg, obj), dim=obj.dim)
     W = np.tile(w0, (len(cells), 1))
     live = np.ones(len(cells), dtype=bool)
     failures: list[tuple[int, str] | None] = [None] * len(cells)
@@ -126,8 +128,6 @@ def _advance(cfg: RunConfig, cells: list[tuple], obj: Objective, on_step=None):
             if ok.all():
                 W = out.new_w
                 continue
-            if t == 1 and not math.isfinite(out.loss_at_w[0]):
-                obj.loss(w0, batch)  # a stack row reads NaN where the point raises
             for k in np.flatnonzero(live & ~ok):
                 failures[k] = (t, _failure(out, k, t))
             live = ok
@@ -200,9 +200,8 @@ def sweep(cfg: RunConfig, spec: SweepSpec) -> list[SweepRow]:
         group = [i for i, cell in enumerate(cells) if cell[3] == seed]
         seed_cfg = replace(cfg, seed=seed)
         obj = build_objective(seed_cfg)
-        # a start outside the domain raises here, before the group's first step
-        start_loss = obj.loss(initial_w(seed_cfg, obj))
         final, failures = _advance(seed_cfg, [cells[i][:3] for i in group], obj)
+        start_loss = obj.loss(initial_w(seed_cfg, obj))
         # a final point outside the domain reads NaN here, so its row is diverged
         with np.errstate(all="ignore"):
             losses, grads = obj.loss_grad(final)

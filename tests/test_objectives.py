@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sharpopt.core import DomainError
 from sharpopt.objectives import (
     FULL_BATCH,
     BatchSampler,
@@ -79,6 +80,14 @@ def test_toy_point_whose_math_overflows_reads_nan():
     assert math.isnan(loss)
     assert np.isnan(grad).all() and grad.shape == (2,)
     assert math.isnan(ToyLandscape().loss((1e200, 1.0)))
+
+
+def test_only_the_toy_has_a_domain_narrower_than_every_finite_point():
+    with pytest.raises(DomainError, match="sigma > 0"):
+        ToyLandscape().check_domain(np.array([0.0, -1.0]))
+    ToyLandscape().check_domain(np.array([1e200, 1.0]))  # overflows, but is inside
+    Quadratic(a=[1.0], centers=[[0.0]]).check_domain(np.array([-1e300]))
+    Logistic(np.ones((2, 1)), np.array([0.0, 1.0])).check_domain(np.array([-1e300]))
 
 
 def test_toy_gradient_matches_oracle_at_start_point():

@@ -222,8 +222,18 @@ def test_a_sweep_from_outside_the_domain_exits_one_before_any_step(tmp_path, cap
     assert calls == []
 
 
-def test_a_run_from_outside_the_domain_exits_one_like_the_sweep(tmp_path, capfd):
-    doc = "[objective]\nkind = toy\n[run]\ninit = 0, -1\n"
+# seed 0's random start has sigma <= 0
+@pytest.mark.parametrize("init", ["0, -1", "random"])
+def test_a_run_from_outside_the_domain_exits_one_before_any_step_like_the_sweep(
+        tmp_path, capfd, monkeypatch, init):
+    calls, step = [], runner.step
+
+    def counting(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(runner, "step", counting)
+    doc = f"[objective]\nkind = toy\n[run]\ninit = {init}\n"
     run_path, sweep_path = tmp_path / "run.ini", tmp_path / "sweep.ini"
     run_path.write_text(doc)
     sweep_path.write_text(doc + "[sweep]\ngamma = 0.5\n")
@@ -231,6 +241,7 @@ def test_a_run_from_outside_the_domain_exits_one_like_the_sweep(tmp_path, capfd)
     sweep_err = capfd.readouterr().err
     assert cli.main(["run", "--config", str(run_path)]) == 1
     assert capfd.readouterr().err == sweep_err == "sharpopt: toy landscape requires sigma > 0\n"
+    assert calls == []
 
 
 def test_an_overflowing_start_fails_the_run_and_diverges_the_sweep(tmp_path, capfd):

@@ -115,14 +115,18 @@ def quadratic_sweeps():
 def _cli(argv, tmp: str, out: str | None = None) -> str:
     """Exit code, stdout and stderr of `sharpopt argv`, then the file written to out, if any.
 
-    With out, argv gains `--out <out>`; tmp reads as <tmp> in stdout and stderr.
+    An argv that argparse rejects reads as its exit code and usage text. With out, argv
+    gains `--out <out>`; tmp reads as <tmp> in stdout and stderr.
     """
     if out is not None:
         argv = [*argv, "--out", out]
     stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     stderr = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejected argv; its usage text is in stderr
+            code = exc.code
     stdout.flush()
     text = (f"exit {code}\n{stdout.buffer.getvalue().decode('utf-8')}"
             f"stderr\n{stderr.getvalue()}").replace(tmp, "<tmp>")

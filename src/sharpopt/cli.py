@@ -45,13 +45,14 @@ def _build_parser() -> _Parser:
 
     p_run = sub.add_parser("run", help="execute one configured optimization run")
     p_run.add_argument("--config", required=True, help="path to an INI run document")
-    p_run.add_argument("--out", default=None, help="override the output path")
-    p_run.add_argument("--format", default=None, choices=("csv", "jsonl"))
+    p_run.set_defaults(handler=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run every cell of a hyperparameter grid")
     p_sweep.add_argument("--config", required=True, help="config with a [sweep] section")
-    p_sweep.add_argument("--out", default=None, help="table destination (default stdout)")
-    p_sweep.add_argument("--format", default="csv", choices=("csv", "jsonl"))
+    p_sweep.set_defaults(handler=_cmd_sweep)
+    for p in (p_run, p_sweep):
+        p.add_argument("--out", help="output path (default: [run] out, else stdout)")
+        p.add_argument("--format", choices=("csv", "jsonl"), help="default: [run] format, else csv")
 
     p_toy = sub.add_parser("toy", help="two-minima trajectory demo")
     p_toy.add_argument("--gamma", type=float, required=True)
@@ -61,10 +62,12 @@ def _build_parser() -> _Parser:
     p_toy.add_argument("--record-every", type=int, default=1)
     p_toy.add_argument("--out", default=None, help="CSV destination (default stdout)")
     p_toy.add_argument("--format", default="csv", choices=("csv", "jsonl"))
+    p_toy.set_defaults(handler=_cmd_toy)
 
     p_eig = sub.add_parser("eig", help="dominant Hessian eigenvalue of a configured run")
     p_eig.add_argument("--config", required=True)
     p_eig.add_argument("--at", default="final", choices=("final", "init"))
+    p_eig.set_defaults(handler=_cmd_eig)
 
     p_bound = sub.add_parser("bound", help="generalization-bound calculator")
     p_bound.add_argument("--d", type=int, required=True, help="VC dimension")
@@ -75,8 +78,10 @@ def _build_parser() -> _Parser:
     p_bound.add_argument("--delta", type=float, required=True)
     p_bound.add_argument("--wnorm", type=float, required=True)
     p_bound.add_argument("--loss", type=float, required=True, help="empirical weighted loss")
+    p_bound.set_defaults(handler=_cmd_bound)
 
-    sub.add_parser("check-grad", help="analytic gradients vs the finite-difference oracle")
+    p_check = sub.add_parser("check-grad", help="analytic gradients vs the finite-difference oracle")
+    p_check.set_defaults(handler=_cmd_check_grad)
     return parser
 
 
@@ -99,12 +104,14 @@ def _write(text: str, out: str | None, summary: str | None) -> None:
         print(summary, file=sys.stderr)
 
 
+def _with_flags(cfg, args):
+    """cfg with the --out and --format given on the command line over its [run] out and format."""
+    flags = {k: v for k, v in (("out", args.out), ("out_format", args.format)) if v is not None}
+    return dataclasses.replace(cfg, **flags) if flags else cfg
+
+
 def _cmd_run(args) -> int:
-    cfg = parse_config(_load_text(args.config))
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, out=args.out)
-    if args.format is not None:
-        cfg = dataclasses.replace(cfg, out_format=args.format)
+    cfg = _with_flags(parse_config(_load_text(args.config)), args)
     obj = build_objective(cfg)
     traj = run(cfg, obj)
     text = format_trajectory(traj, cfg.out_format, cfg.record_every)
@@ -118,10 +125,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg, spec = parse_sweep_config(_load_text(args.config))
+    cfg = _with_flags(cfg, args)
     rows = sweep(cfg, spec)
-    text = format_sweep(rows, args.format)
+    text = format_sweep(rows, cfg.out_format)
     diverged = sum(1 for r in rows if r.status != "ok")
-    _write(text, args.out, f"cells={len(rows)} diverged={diverged}")
+    _write(text, cfg.out, f"cells={len(rows)} diverged={diverged}")
     return EXIT_OK
 
 
@@ -175,16 +183,8 @@ def _cmd_check_grad(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "sweep": _cmd_sweep,
-        "toy": _cmd_toy,
-        "eig": _cmd_eig,
-        "bound": _cmd_bound,
-        "check-grad": _cmd_check_grad,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ConfigError, ValueError) as exc:
         print(f"sharpopt: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -43,16 +43,12 @@ SNAPSHOT_DIM_LIMIT = 16
 
 
 class NumericBlowup(RuntimeError):
-    """A run left the finite domain; carries what was observed before that."""
+    """A run left the finite domain; carries its failed step and its last finite record, if any."""
 
-    def __init__(self, message: str, failed_step: int, trajectory: Trajectory | None):
+    def __init__(self, message: str, failed_step: int, last_finite_record: StepRecord | None):
         super().__init__(message)
         self.failed_step = failed_step
-        self.trajectory = trajectory
-
-    @property
-    def last_finite_record(self) -> StepRecord | None:
-        return None if self.trajectory is None else self.trajectory.records[-1]
+        self.last_finite_record = last_finite_record
 
 
 def build_objective(cfg: RunConfig) -> Objective:
@@ -75,6 +71,13 @@ def initial_w(cfg: RunConfig, obj: Objective) -> np.ndarray:
     return cfg.init_scale * rng.standard_normal(obj.dim)
 
 
+def _start(cfg: RunConfig, obj: Objective) -> np.ndarray:
+    """cfg's start point; a start outside obj's domain raises DomainError, an input fault."""
+    w0 = as_vector(initial_w(cfg, obj), dim=obj.dim)
+    obj.check_domain(w0)
+    return w0
+
+
 def _failure(out: StepOutput, k: int, t: int) -> str:
     """Why row k of a step's output failed, as run reports it."""
     if not np.isfinite(out.loss_at_w[k]):
@@ -86,19 +89,15 @@ def _failure(out: StepOutput, k: int, t: int) -> str:
     return f"non-finite iterate at step {t}"
 
 
-def _advance(cfg: RunConfig, cells: list[tuple], obj: Objective, on_step=None):
-    """Advance one run of cfg per (gamma, rho, alpha) cell as one (K, d) stack; the one step loop.
+def _advance(cfg: RunConfig, cells: list[tuple], obj: Objective, w0: np.ndarray, on_step=None):
+    """The one step loop: one run of cfg per (gamma, rho, alpha) cell, from w0, as a (K, d) stack.
 
     A row fails at step t when its loss there, its perturbed point, its new
     point or its base state is not finite; it then stays in the stack, frozen
-    at its last finite point, while the others carry on. A start outside the
-    domain is an input fault: its DomainError is raised before the first
-    step. on_step(t, out, ok) sees every step's output and which rows are
-    still live after it. Returns the final points and, per row, None or
-    (failed step, reason).
+    at its last finite point, while the others carry on. on_step(t, out, ok)
+    sees every step's output and which rows are still live after it. Returns
+    the final points and, per row, None or (failed step, reason).
     """
-    w0 = as_vector(initial_w(cfg, obj), dim=obj.dim)
-    obj.check_domain(w0)
     if not obj.accepts_stacks:
         obj = RowByRow(obj)
     gamma, rho, alpha = (np.array(col, dtype=np.float64).reshape(-1, 1) for col in zip(*cells))
@@ -163,12 +162,12 @@ def run(cfg: RunConfig, obj: Objective | None = None) -> Trajectory:
                 )
             )
 
-    final, (failure,) = _advance(cfg, [(cfg.gamma, cfg.rho, cfg.alpha)], obj, record)
-    traj = Trajectory(records=tuple(records), final_w=final[0]) if records else None
+    cell = (cfg.gamma, cfg.rho, cfg.alpha)
+    final, (failure,) = _advance(cfg, [cell], obj, _start(cfg, obj), record)
     if failure is not None:
         failed_step, reason = failure
-        raise NumericBlowup(reason, failed_step, traj)
-    return traj
+        raise NumericBlowup(reason, failed_step, records[-1] if records else None)
+    return Trajectory(records=tuple(records), final_w=final[0])
 
 
 @dataclass(frozen=True)
@@ -187,38 +186,39 @@ class SweepRow:
 def sweep(cfg: RunConfig, spec: SweepSpec) -> list[SweepRow]:
     """One row per grid cell, in grid order; a diverging cell does not stop the rest.
 
-    The cells of one seed share their objective and step together as one
-    stack. A cell is diverged when its run blows up, or when its final
-    full-batch loss is non-finite or above the full-batch loss at its
-    initial point.
+    Every seed group's start is checked before the first group steps, so a
+    start outside the domain raises DomainError before any step. The cells
+    of one seed share their objective and step together as one stack. A
+    cell is diverged when its run blows up, or when its final full-batch
+    loss is non-finite or above the full-batch loss at its initial point.
     """
     axes = [values or (getattr(cfg, field),) for field, values in spec.grids.items()]
     # (gamma, rho, alpha, seed) cells; spec has checked its values with cfg's rules
     cells = list(itertools.product(*axes))
+    groups: dict[int, list[int]] = {}
+    for i, cell in enumerate(cells):
+        groups.setdefault(cell[3], []).append(i)
+    seed_cfgs = [replace(cfg, seed=seed) for seed in groups]
+    # a start reads only the objective's dimension and domain, which no seed changes
+    obj = build_objective(seed_cfgs[0])
+    starts = [_start(seed_cfg, obj) for seed_cfg in seed_cfgs]
     rows: list[SweepRow | None] = [None] * len(cells)
-    for seed in dict.fromkeys(cell[3] for cell in cells):
-        group = [i for i, cell in enumerate(cells) if cell[3] == seed]
-        seed_cfg = replace(cfg, seed=seed)
-        obj = build_objective(seed_cfg)
-        final, failures = _advance(seed_cfg, [cells[i][:3] for i in group], obj)
-        start_loss = obj.loss(initial_w(seed_cfg, obj))
+    for n, (seed_cfg, group, w0) in enumerate(zip(seed_cfgs, groups.values(), starts)):
+        if n > 0:
+            obj = build_objective(seed_cfg)
+        final, failures = _advance(seed_cfg, [cells[i][:3] for i in group], obj, w0)
+        start_loss = obj.loss(w0)
         # a final point outside the domain reads NaN here, so its row is diverged
         with np.errstate(all="ignore"):
             losses, grads = obj.loss_grad(final)
-        ends = zip(final, losses.tolist(), grads)
-        for i, (w, loss, grad), failure in zip(group, ends, failures):
-            rows[i] = _row(seed_cfg, spec, cells[i], obj, w, loss, grad, not failure, start_loss)
+        for i, w, loss, grad, failure in zip(group, final, losses.tolist(), grads, failures):
+            if failure is not None or not math.isfinite(loss) or loss > start_loss:
+                rows[i] = SweepRow(*cells[i], "diverged")
+                continue
+            lam = power_iteration(obj, w, seed=seed_cfg.seed).lambda_max if spec.eig else None
+            minimum = classify_minimum(w) if cfg.objective.kind == "toy" else None
+            rows[i] = SweepRow(*cells[i], "ok", loss, l2_norm(grad), lam, minimum)
     return rows
-
-
-def _row(cfg: RunConfig, spec: SweepSpec, cell: tuple, obj: Objective, w, loss: float, grad,
-         finished: bool, start_loss: float) -> SweepRow:
-    """A cell's row from its final point and the full-batch loss and gradient there."""
-    if not finished or not math.isfinite(loss) or loss > start_loss:
-        return SweepRow(*cell, "diverged")
-    lam = power_iteration(obj, w, seed=cfg.seed).lambda_max if spec.eig else None
-    minimum = classify_minimum(w) if cfg.objective.kind == "toy" else None
-    return SweepRow(*cell, "ok", loss, l2_norm(grad), lam, minimum)
 
 
 def _table(header: list[str], rows, fmt: str) -> str:

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from sharpopt import cli, runner
 from sharpopt.cli import main
 from sharpopt.config import ConfigError, parse_config, parse_sweep_config
+from sharpopt.core import DomainError
+from sharpopt.runner import sweep
 
 TOY_DOC = "[objective]\nkind = toy\n"
 QUAD_DOC = """
@@ -287,3 +289,65 @@ def test_generated_documents_exit_one_only_before_any_step(command, optimizer, r
         assert (code, stderr.getvalue()) == (1, rejection)
     if code == 1:
         assert calls == [], stderr.getvalue()
+
+
+# seed 1's random start is inside the toy's domain and seed 0's is not
+LATER_BAD_START = ("[objective]\nkind = toy\n[optimizer]\nmode = vanilla\nalpha = 0.1\n"
+                   "[run]\ninit = random\nsteps = 3\n[sweep]\nseed = 1, 0\n")
+
+
+def test_a_later_seed_group_starting_outside_the_domain_exits_one_before_any_step(
+        tmp_path, capfd, monkeypatch):
+    calls, step = [], runner.step
+
+    def counting(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(runner, "step", counting)
+    assert main(["sweep", "--config", write(tmp_path, LATER_BAD_START)]) == 1
+    assert capfd.readouterr().err == "sharpopt: toy landscape requires sigma > 0\n"
+    assert calls == []
+    with pytest.raises(DomainError, match="toy landscape requires sigma > 0"):
+        sweep(*parse_sweep_config(LATER_BAD_START))
+    assert calls == []
+
+
+def test_sweep_writes_the_documents_out_and_format_unless_flags_override_them(tmp_path, capfd):
+    grid = "[sweep]\ngamma = 0.0, 0.5\n"
+    plain = write(tmp_path, QUAD_DOC + grid, "plain.ini")
+    assert main(["sweep", "--config", plain]) == 0
+    csv = capfd.readouterr().out
+    assert main(["sweep", "--config", plain, "--format", "jsonl"]) == 0
+    jsonl = capfd.readouterr().out
+    assert csv.startswith("gamma,rho,alpha,seed,status") and jsonl.startswith('{"gamma": ')
+
+    table = tmp_path / "table"
+    path = write(tmp_path, QUAD_DOC + f"out = {table}\nformat = jsonl\n" + grid)
+    assert main(["sweep", "--config", path]) == 0
+    assert capfd.readouterr().out == f"cells=2 diverged=0 wrote={len(jsonl)}B path={table}\n"
+    assert table.read_text() == jsonl
+    assert main(["sweep", "--config", path, "--format", "csv"]) == 0
+    assert table.read_text() == csv
+    other = tmp_path / "other"
+    assert main(["sweep", "--config", path, "--out", str(other)]) == 0
+    assert other.read_text() == jsonl
+    assert capfd.readouterr().out.endswith(f"path={other}\n")
+
+
+# each of seeds 0 to 7 starts the toy at a random point; 0 and 2 to 5 start outside its domain
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mode=st.sampled_from(VALID_VALUES["optimizer"]["mode"]),
+       alpha=st.sampled_from(VALID_VALUES["optimizer"]["alpha"]),
+       rho=st.sampled_from(VALID_VALUES["optimizer"]["rho"]),
+       steps=st.sampled_from(VALID_VALUES["run"]["steps"]),
+       seeds=st.lists(st.integers(0, 7), min_size=2, max_size=4, unique=True),
+       grid=st.one_of(st.just(""), grid_line("gamma"), grid_line("alpha")))
+def test_generated_multi_seed_sweeps_from_random_starts_exit_one_only_before_any_step(
+        mode, alpha, rho, steps, seeds, grid):
+    optimizer = f"[optimizer]\nmode = {mode}\nalpha = {alpha}\nrho = {rho}\n"
+    run_section = f"[run]\ninit = random\nsteps = {steps}\n"
+    sweep_section = f"[sweep]\nseed = {', '.join(map(str, seeds))}\n{grid}"
+    # the invariants every generated document keeps, checked by that test's body
+    test_generated_documents_exit_one_only_before_any_step.hypothesis.inner_test(
+        "sweep", optimizer, run_section, sweep_section)

@@ -1,4 +1,5 @@
 """The experiment scripts run end to end on small inputs."""
+import importlib.util
 import os
 import subprocess
 import sys
@@ -55,3 +56,13 @@ def test_output_digest_against_an_unknown_ref_exits_two_before_any_group():
     assert proc.returncode == 2
     assert "'no-such-ref'" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_output_digest_hashes_an_argv_that_argparse_rejects(tmp_path):
+    spec = importlib.util.spec_from_file_location("output_digest",
+                                                  ROOT / "scripts" / "output_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    text = digest._cli(["bound", "--d", "10"], str(tmp_path))
+    assert text.startswith("exit 1\nstderr\nusage: sharpopt bound ")
+    assert "error: the following arguments are required: --m, --n" in text

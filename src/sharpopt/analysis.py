@@ -4,6 +4,12 @@ Hessian-vector products by central differences of the analytic gradient,
 power iteration for the dominant eigenvalue, regret and gradient-norm
 curves, a generalization-bound calculator, and classification of toy-run
 endpoints against the catalogued minima.
+
+``hvp`` and the power iteration work on a point or on a (K, d) stack of
+points, as the step does. ``power_iteration`` is the one-row case of a
+stacked iteration whose rows stop on their own, each step differencing all
+unfinished rows in one evaluation; a sweep runs one per seed group, and
+each row's estimate is ``power_iteration`` of that row, bit for bit.
 """
 from __future__ import annotations
 
@@ -13,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_vector, dot, l2_norm
+from .core import DomainError, as_vector, l2_norm, row_norms
 from .objectives import (
     FULL_BATCH,
     SEED_STREAM_EIG,
     BatchSpec,
     Objective,
+    RowByRow,
     ToyLandscape,
     toy_loss,
 )
@@ -66,7 +73,17 @@ class Trajectory:
 
 
 def hvp(obj: Objective, w, v, batch: BatchSpec = FULL_BATCH, h: float | None = None) -> np.ndarray:
-    """Hessian-vector product by central differences of the gradient."""
+    """Hessian-vector product by central differences of the gradient.
+
+    w and v are one point and one direction, or (K, d) stacks of them. A
+    stack needs h, a (K, 1) column of steps, and nonzero directions; it is
+    differenced row-wise in one evaluation of its 2K points w +- h v, so each
+    row gets the bits its point gets with that h. A stack is not checked, and
+    a row whose points leave the domain reads NaN where its point raises
+    DomainError.
+    """
+    if type(w) is np.ndarray and w.ndim == 2:
+        return _hvp_rows(obj, w, v, batch, h)
     w = as_vector(w)
     v = as_vector(v, dim=w.size)
     v_norm = l2_norm(v)
@@ -77,6 +94,19 @@ def hvp(obj: Objective, w, v, batch: BatchSpec = FULL_BATCH, h: float | None = N
     elif h <= 0.0:
         raise ValueError("difference step h must be > 0")
     return (obj.grad(w + h * v, batch) - obj.grad(w - h * v, batch)) / (2.0 * h)
+
+
+def _hvp_rows(obj: Objective, W: np.ndarray, V: np.ndarray, batch: BatchSpec, h) -> np.ndarray:
+    """hvp of each row of W along the same row of V, the point arithmetic on columns."""
+    if h is None or np.any(h <= 0.0):
+        raise ValueError("a stack needs difference steps h > 0")
+    if not obj.accepts_stacks:
+        obj = RowByRow(obj)
+    hv = h * V
+    # a NaN row here is the caller's to catch, as in the step loop
+    with np.errstate(all="ignore"):
+        G = obj.loss_grad(np.concatenate((W + hv, W - hv)), batch)[1]
+    return (G[: len(W)] - G[len(W):]) / (2.0 * h)
 
 
 def dense_hessian(obj: Objective, w, batch: BatchSpec = FULL_BATCH, h: float | None = None) -> np.ndarray:
@@ -100,12 +130,16 @@ class EigEstimate:
     residual: float
 
 
+POWER_MAX_ITERS = 200
+POWER_TOL = 1e-6
+
+
 def power_iteration(
     obj: Objective,
     w,
     batch: BatchSpec = FULL_BATCH,
-    max_iters: int = 200,
-    tol: float = 1e-6,
+    max_iters: int = POWER_MAX_ITERS,
+    tol: float = POWER_TOL,
     seed: int = 0,
 ) -> EigEstimate:
     """Dominant (largest-magnitude) Hessian eigenvalue from a seeded start.
@@ -118,26 +152,74 @@ def power_iteration(
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     w = as_vector(w)
-    rng = np.random.default_rng([seed, SEED_STREAM_EIG])
-    v = rng.standard_normal(w.size)
-    v = v / l2_norm(v)
+    return _power_rows(obj, w[None, :], seed, batch, max_iters, tol)[0]
 
-    lam = 0.0
-    lam_prev: float | None = None
-    residual = math.inf
+
+def _power_rows(
+    obj: Objective,
+    W: np.ndarray,
+    seed: int,
+    batch: BatchSpec = FULL_BATCH,
+    max_iters: int = POWER_MAX_ITERS,
+    tol: float = POWER_TOL,
+) -> list[EigEstimate]:
+    """``power_iteration`` of each row of a (K, d) stack of finite points, as one iteration.
+
+    Every row starts from the seed's direction and keeps its own iteration
+    count and residual; each step makes one ``hvp`` call on the rows still
+    iterating, and each row's estimate is its ``power_iteration``, bit for
+    bit. A row whose stacked Hv is not finite is redone by the point ``hvp``,
+    and the first row whose point path raises raises here too, once no
+    earlier row can.
+    """
+    rng = np.random.default_rng([seed, SEED_STREAM_EIG])
+    v = rng.standard_normal(W.shape[1])
+    V = np.tile(v / l2_norm(v), (len(W), 1))
+    # hvp's step times |v|; taken once, since a strided row's norm may round
+    # otherwise than the contiguous copy that dropping finished rows makes
+    scale = 1e-4 * (1.0 + row_norms(W))
+    estimates: list[EigEstimate | None] = [None] * len(W)
+    rows = np.arange(len(W))  # the rows still iterating, and their W, V, scale and last quotient
+    lam_prev = residual = None
+    raised: tuple[int, Exception] | None = None
     for k in range(1, max_iters + 1):
-        Hv = hvp(obj, w, v, batch)
-        lam = dot(v, Hv)
-        norm = l2_norm(Hv)
-        if norm == 0.0:
-            return EigEstimate(0.0, k, 0.0)
-        v = Hv / norm
-        if lam_prev is not None:
-            residual = abs(lam - lam_prev) / max(abs(lam), 1e-300)
-            if residual < tol:
-                return EigEstimate(lam, k, residual)
+        h = (scale / row_norms(V))[:, None]
+        Hv = hvp(obj, W, V, batch, h)
+        for j in np.flatnonzero(~np.isfinite(Hv).all(axis=1)).tolist():
+            try:
+                Hv[j] = hvp(obj, W[j], V[j], batch, float(h[j, 0]))
+            except (DomainError, ArithmeticError) as exc:  # what a stack row reads as NaN
+                if raised is None or rows[j] < raised[0]:
+                    raised = (int(rows[j]), exc)
+        lam = np.vecdot(V, Hv)
+        norm = row_norms(Hv)
+        if k > 1:
+            residual = np.abs(lam - lam_prev) / np.maximum(np.abs(lam), 1e-300)
+            stop = (norm == 0.0) | (residual < tol)
+        else:
+            residual = np.full(len(rows), math.inf)
+            stop = norm == 0.0
+        for j in np.flatnonzero(stop).tolist():
+            if norm[j] == 0.0:
+                estimates[rows[j]] = EigEstimate(0.0, k, 0.0)
+            else:
+                estimates[rows[j]] = EigEstimate(float(lam[j]), k, float(residual[j]))
+        go = ~stop
+        if raised is not None:
+            go &= rows < raised[0]  # a later row's result is never read
+        if not go.any():
+            break
+        if not go.all():
+            rows, W, scale, Hv, norm, lam = rows[go], W[go], scale[go], Hv[go], norm[go], lam[go]
+            residual = residual[go]
+        V = Hv / norm[:, None]
         lam_prev = lam
-    return EigEstimate(lam, max_iters, residual)
+    else:  # the rows still iterating stop at max_iters
+        for j, row in enumerate(rows.tolist()):
+            estimates[row] = EigEstimate(float(lam[j]), max_iters, float(residual[j]))
+    if raised is not None:
+        raise raised[1]
+    return estimates
 
 
 def regret_curve(traj: Trajectory, obj: Objective, w_star, batch_at=None) -> np.ndarray:

@@ -17,6 +17,7 @@ from .runner import (
     NumericBlowup,
     build_objective,
     emit,
+    format_eig,
     format_sweep,
     format_trajectory,
     initial_w,
@@ -67,6 +68,9 @@ def _build_parser() -> _Parser:
     p_eig = sub.add_parser("eig", help="dominant Hessian eigenvalue of a configured run")
     p_eig.add_argument("--config", required=True)
     p_eig.add_argument("--at", default="final", choices=("final", "init"))
+    # [run] out and format name the run's own output, which eig must not overwrite
+    p_eig.add_argument("--out", default=None, help="output path (default stdout)")
+    p_eig.add_argument("--format", default="csv", choices=("csv", "jsonl"))
     p_eig.set_defaults(handler=_cmd_eig)
 
     p_bound = sub.add_parser("bound", help="generalization-bound calculator")
@@ -154,10 +158,9 @@ def _cmd_eig(args) -> int:
     else:
         w = initial_w(cfg, obj)
     est = power_iteration(obj, w, seed=cfg.seed)
-    print(
-        f"lambda_max={est.lambda_max:.17g} iterations={est.iterations_used} "
-        f"residual={est.residual:.3g}"
-    )
+    # the estimate is the whole of eig's output on stdout
+    summary = None if args.out is None else f"lambda_max={est.lambda_max:.6g}"
+    _write(format_eig(est, args.format), args.out, summary)
     return EXIT_OK
 
 

@@ -2,8 +2,10 @@
 
 Every reduction, ``dot``, ``l2_norm`` and ``row_norms``, goes through
 ``np.vecdot``, which gives each row of a stack the bits it gives that row
-alone; repeated runs give bitwise-identical results on the same machine and
-numpy/BLAS build.
+alone, on any CPU; a strided row may round otherwise than a contiguous copy
+of it. Repeated runs give bitwise-identical results on the same machine,
+numpy/BLAS build and CPU features: the level numpy's SIMD loops dispatch to
+can change the last bits.
 """
 from __future__ import annotations
 

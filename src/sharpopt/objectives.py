@@ -126,7 +126,7 @@ def _by_row(evaluate, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scalar math overflows, the row reads NaN.
     """
     losses = np.empty(len(W))
-    grads = np.empty_like(W)
+    grads = np.empty(W.shape)
     for k, w in enumerate(W):
         try:
             losses[k], grads[k] = evaluate(w)
@@ -135,15 +135,28 @@ def _by_row(evaluate, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return losses, grads
 
 
-def _evaluate(point, w, dim: int) -> tuple:
-    """The one evaluation dispatch: a (K, d) stack row by row, or one checked point.
+def _by_float_row(evaluate, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_by_row`` for scalar math: each row a list of Python floats, both arrays built at the end."""
+    losses, grads = [], []
+    for w in W.tolist():
+        try:
+            loss, grad = evaluate(w)
+        except (DomainError, ArithmeticError):
+            loss, grad = math.nan, [math.nan] * len(w)
+        losses.append(loss)
+        grads.append(grad)
+    return np.array(losses, dtype=np.float64), np.array(grads, dtype=np.float64).reshape(W.shape)
+
+
+def _evaluate(point, w, dim: int, by_row=_by_row) -> tuple:
+    """The one evaluation dispatch: a (K, d) stack through by_row, or one checked point.
 
     point(v) evaluates one float64 vector v; the gradient may be any sequence
     of reals. A point is checked with ``as_vector`` first, a stack is not.
     A point whose scalar math overflows reads NaN, as a stack row does.
     """
-    if np.ndim(w) == 2:
-        return _by_row(point, w)
+    if type(w) is np.ndarray and w.ndim == 2:
+        return by_row(point, w)
     try:
         loss, grad = point(as_vector(w, dim=dim))
     except ArithmeticError:
@@ -238,7 +251,7 @@ class ToyLandscape(Objective):
         self.num_examples = 1
 
     def loss_grad(self, w, batch: BatchSpec = FULL_BATCH) -> tuple[float, np.ndarray]:
-        return _evaluate(lambda v: _toy_point(v, self.params), w, self.dim)
+        return _evaluate(lambda v: _toy_point(v, self.params), w, self.dim, _by_float_row)
 
     def check_domain(self, w: np.ndarray) -> None:
         self.loss_grad(w)  # the point path raises DomainError at sigma <= 0

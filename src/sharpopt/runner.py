@@ -3,7 +3,9 @@
 Seed streams: [seed, 0] initializes w, [seed, 1, t] draws step t's batch,
 [seed, 2] synthesizes datasets, [seed, 3] starts power iteration. Every
 stream is addressed independently, so runs replay bitwise on the same
-machine and numpy/BLAS build.
+machine, numpy/BLAS build and CPU features; numpy's SIMD dispatch level can
+change the last bits of an array objective's output, never a sweep row's
+identity with its run.
 
 One step loop, ``_advance``, advances one config's runs for K (gamma, rho,
 alpha) cells as a (K, d) stack: one ``step`` call per step for the whole
@@ -12,7 +14,9 @@ seed and advances each group's cells together; since every row is
 evaluated with the point arithmetic, each sweep row equals the ``run`` of
 its cell bit for bit. A row that fails stays in the stack, frozen at its
 last finite point, while the others carry on, so the stack keeps its K rows
-for the whole run and only ``_advance`` knows that a row can fail.
+for the whole run and only ``_advance`` knows that a row can fail. With eig,
+a seed group's ok rows run one stacked power iteration, and each row's
+estimate equals ``power_iteration`` of its endpoint bit for bit.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .analysis import StepRecord, Trajectory, classify_minimum, power_iteration
+from .analysis import EigEstimate, StepRecord, Trajectory, _power_rows, classify_minimum
 from .base_optimizers import BaseOptState
 from .config import RunConfig, SweepSpec
 from .core import Schedule, as_vector, l2_norm
@@ -211,11 +215,15 @@ def sweep(cfg: RunConfig, spec: SweepSpec) -> list[SweepRow]:
         # a final point outside the domain reads NaN here, so its row is diverged
         with np.errstate(all="ignore"):
             losses, grads = obj.loss_grad(final)
-        for i, w, loss, grad, failure in zip(group, final, losses.tolist(), grads, failures):
-            if failure is not None or not math.isfinite(loss) or loss > start_loss:
+        ok = [failure is None and math.isfinite(loss) and not loss > start_loss
+              for loss, failure in zip(losses.tolist(), failures)]
+        # one stacked power iteration over the group's ok rows
+        eig = iter(_power_rows(obj, final[ok], seed_cfg.seed) if spec.eig and any(ok) else ())
+        for i, w, loss, grad, good in zip(group, final, losses.tolist(), grads, ok):
+            if not good:
                 rows[i] = SweepRow(*cells[i], "diverged")
                 continue
-            lam = power_iteration(obj, w, seed=seed_cfg.seed).lambda_max if spec.eig else None
+            lam = next(eig).lambda_max if spec.eig else None
             minimum = classify_minimum(w) if cfg.objective.kind == "toy" else None
             rows[i] = SweepRow(*cells[i], "ok", loss, l2_norm(grad), lam, minimum)
     return rows
@@ -266,6 +274,15 @@ def format_trajectory(traj: Trajectory, fmt: str = "csv", record_every: int = 1)
 def format_sweep(rows: list[SweepRow], fmt: str = "csv") -> str:
     header = [f.name for f in fields(SweepRow)]
     return _table(header, (vars(r).values() for r in rows), fmt)
+
+
+def format_eig(est: EigEstimate, fmt: str = "csv") -> str:
+    """eig's one line of text under csv, or under jsonl one object of the estimate's three fields."""
+    if fmt == "csv":
+        return (f"lambda_max={est.lambda_max:.17g} iterations={est.iterations_used} "
+                f"residual={est.residual:.3g}\n")
+    row = (est.lambda_max, est.iterations_used, est.residual)
+    return _table(["lambda_max", "iterations", "residual"], [row], fmt)
 
 
 def emit(text: str, path: str | None = None) -> int:

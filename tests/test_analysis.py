@@ -19,8 +19,19 @@ from sharpopt.analysis import (
     power_iteration,
     regret_curve,
     toy_minima,
+    _power_rows,
 )
-from sharpopt.objectives import FULL_BATCH, BatchSpec, Objective, Quadratic, ToyLandscape
+from sharpopt.core import DomainError, dot, l2_norm
+from sharpopt.objectives import (
+    FULL_BATCH,
+    SEED_STREAM_EIG,
+    BatchSampler,
+    BatchSpec,
+    Logistic,
+    Objective,
+    Quadratic,
+    ToyLandscape,
+)
 
 
 class QuadraticForm(Objective):
@@ -127,6 +138,130 @@ def test_sharp_basin_has_the_larger_top_eigenvalue():
     # both basins are true minima: all oracle eigenvalues positive
     assert np.all(np.linalg.eigvalsh(dense_hessian(toy, minima.sharp_w)) > 0)
     assert np.all(np.linalg.eigvalsh(dense_hessian(toy, minima.flat_w)) > 0)
+
+
+# --- the stacked power iteration -------------------------------------------------
+
+class PointOnly(Objective):
+    """An objective seen only through points: the stack paths wrap it row by row."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self.num_examples = inner.num_examples
+
+    def loss_grad(self, w, batch=FULL_BATCH):
+        assert np.ndim(w) == 1
+        return self.inner.loss_grad(w, batch)
+
+
+class Terraced(Objective):
+    """Point-only 0.5 w' diag(1, 1 - 2^-r) w on the strip r <= w_0 < r + 1, and flat at w_0 < 0.
+
+    The nearer the two eigenvalues, the slower the iteration converges, so
+    the strip a row sits on sets its iteration count; a flat row has Hv = 0.
+    """
+
+    dim = 2
+
+    def loss_grad(self, w, batch=FULL_BATCH):
+        w = np.asarray(w, dtype=float)
+        r = math.floor(w[0])
+        if r < 0:
+            return 1.0, np.zeros(2)
+        a = np.array([1.0, 1.0 - 0.5 ** r])
+        return 0.5 * float(w @ (a * w)), a * w
+
+
+def point_power_iteration(obj, w, batch=FULL_BATCH, max_iters=200, tol=1e-6, seed=0):
+    """power_iteration as a loop of point hvp calls, one row at a time."""
+    rng = np.random.default_rng([seed, SEED_STREAM_EIG])
+    v = rng.standard_normal(w.size)
+    v = v / l2_norm(v)
+    lam, lam_prev, residual = 0.0, None, math.inf
+    for k in range(1, max_iters + 1):
+        Hv = hvp(obj, w, v, batch)
+        lam = dot(v, Hv)
+        norm = l2_norm(Hv)
+        if norm == 0.0:
+            return EigEstimate(0.0, k, 0.0)
+        v = Hv / norm
+        if lam_prev is not None:
+            residual = abs(lam - lam_prev) / max(abs(lam), 1e-300)
+            if residual < tol:
+                return EigEstimate(lam, k, residual)
+        lam_prev = lam
+    return EigEstimate(lam, max_iters, residual)
+
+
+def assert_rows_are_their_points(obj, W, seed, batch=FULL_BATCH, **limits):
+    stacked = _power_rows(obj, W, seed, batch, **limits)
+    assert len(stacked) == len(W)
+    for w, est in zip(W, stacked):
+        assert est == power_iteration(obj, w, batch, seed=seed, **limits)
+        assert est == point_power_iteration(obj, w, batch, seed=seed, **limits)
+    return stacked
+
+
+def _logistic():
+    return Logistic.synthetic(64, 6, seed=3)
+
+
+def _minibatch():
+    return BatchSampler(seed=5, batch_size=16, num_examples=64).batch_at(3)
+
+
+STACK_CASES = {
+    "toy": (ToyLandscape, lambda rng, K: np.column_stack(
+        (rng.uniform(-30.0, 30.0, K), rng.uniform(2.0, 40.0, K))), lambda: FULL_BATCH),
+    "quadratic": (lambda: Quadratic(a=(3.0, 1.0, 0.5, 2.0), centers=np.arange(24.0).reshape(6, 4)),
+                  lambda rng, K: 3.0 * rng.standard_normal((K, 4)), lambda: FULL_BATCH),
+    "logistic": (_logistic, lambda rng, K: rng.standard_normal((K, 6)), lambda: FULL_BATCH),
+    "logistic_minibatch": (_logistic, lambda rng, K: rng.standard_normal((K, 6)), _minibatch),
+    "point_only": (lambda: PointOnly(_logistic()), lambda rng, K: rng.standard_normal((K, 6)),
+                   lambda: FULL_BATCH),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+@pytest.mark.parametrize("K", [1, 2, 3, 8, 24])
+def test_each_stacked_row_is_its_power_iteration(case, K):
+    make_obj, points, batch = STACK_CASES[case]
+    obj = make_obj()
+    rng = np.random.default_rng([K, len(case)])
+    W = points(rng, K)
+    stacked = assert_rows_are_their_points(obj, W, seed=K, batch=batch())
+    # a strided row may reduce in another order than a contiguous one, so a
+    # sliced, non-contiguous stack is held to its own rows
+    wide = np.zeros((2 * K, 2 * W.shape[1]))
+    wide[::2, ::2] = W
+    view = wide[::2, ::2]
+    assert not view.flags.c_contiguous
+    assert_rows_are_their_points(obj, view, seed=K, batch=batch())
+    if case == "toy" and K == 24:
+        assert len({est.iterations_used for est in stacked}) > 1
+
+
+def test_stacked_rows_stop_on_their_own_flat_converged_or_capped():
+    W = np.array([[1.5, 1.0], [-5.5, 2.0], [3.5, -1.0], [6.5, 0.5], [-0.5, 0.0], [2.5, 2.0]])
+    stacked = assert_rows_are_their_points(Terraced(), W, seed=4, max_iters=60)
+    iterations = [est.iterations_used for est in stacked]
+    assert stacked[1] == stacked[4] == EigEstimate(0.0, 1, 0.0)
+    assert iterations[3] == 60 and stacked[3].residual >= 1e-6
+    assert 1 < iterations[0] < iterations[5] < iterations[2] < 60
+
+
+@pytest.mark.parametrize("bad", [(0.0, 1e-6), (0.0, 1e-4)])
+def test_a_probe_that_leaves_the_domain_raises_from_the_stack_as_from_its_point(bad):
+    toy = ToyLandscape()
+    with pytest.raises(DomainError) as point:
+        power_iteration(toy, bad, seed=0)
+    with pytest.raises(DomainError) as one_row:
+        _power_rows(toy, np.array([bad]), 0)
+    with pytest.raises(DomainError) as stacked:
+        _power_rows(toy, np.array([[-6.0, 10.0], bad, [5.0, 3.0]]), 0)
+    assert str(point.value) == str(one_row.value) == str(stacked.value)
+    assert str(point.value) == "toy landscape requires sigma > 0"
 
 
 # --- trajectory curves ------------------------------------------------------------

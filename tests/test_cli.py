@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, and the subprocess entry point."""
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharpopt import cli, runner
+from sharpopt.analysis import power_iteration
 from sharpopt.cli import main
 from sharpopt.config import ConfigError, parse_config, parse_sweep_config
 from sharpopt.core import DomainError
@@ -96,6 +98,62 @@ def test_eig_command(tmp_path, capfd):
     assert captured.out.startswith("lambda_max=")
     lam = float(captured.out.split()[0].split("=")[1])
     assert abs(lam - 2.0) < 1e-3
+
+
+def eig_line(doc_path):
+    """eig --at init's line, from the library: what eig printed before it took --out and --format."""
+    with open(doc_path, encoding="utf-8") as fh:
+        cfg = parse_config(fh.read())
+    obj = runner.build_objective(cfg)
+    est = power_iteration(obj, runner.initial_w(cfg, obj), seed=cfg.seed)
+    line = (f"lambda_max={est.lambda_max:.17g} iterations={est.iterations_used} "
+            f"residual={est.residual:.3g}\n")
+    return est, line
+
+
+def test_eig_with_neither_out_nor_format_prints_only_its_line(tmp_path, capfd):
+    path = write(tmp_path, QUAD_DOC)
+    assert main(["eig", "--config", path, "--at", "init", "--format", "csv"]) == 0
+    flagged = capfd.readouterr()
+    assert main(["eig", "--config", path, "--at", "init"]) == 0
+    captured = capfd.readouterr()
+    assert captured.out == flagged.out == eig_line(path)[1]
+    assert captured.err == flagged.err == ""
+
+
+def test_eig_writes_its_line_to_out_and_prints_a_summary(tmp_path, capfd):
+    path = write(tmp_path, QUAD_DOC)
+    est, line = eig_line(path)
+    target = tmp_path / "eig.txt"
+    assert main(["eig", "--config", path, "--at", "init", "--out", str(target)]) == 0
+    captured = capfd.readouterr()
+    assert target.read_text() == line
+    assert captured.out == (f"lambda_max={est.lambda_max:.6g} wrote={len(line)}B "
+                            f"path={target}\n")
+    assert captured.err == ""
+
+
+def test_eig_jsonl_is_one_object_of_the_estimate(tmp_path, capfd):
+    path = write(tmp_path, QUAD_DOC)
+    est, _ = eig_line(path)
+    assert main(["eig", "--config", path, "--at", "init", "--format", "jsonl"]) == 0
+    out = capfd.readouterr().out
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"lambda_max": est.lambda_max, "iterations": est.iterations_used,
+                               "residual": est.residual}
+
+
+def test_eig_leaves_the_documents_out_and_format_to_the_run(tmp_path, capfd):
+    trajectory = tmp_path / "traj.jsonl"
+    path = write(tmp_path, QUAD_DOC + f"out = {trajectory}\nformat = jsonl\n")
+    assert main(["run", "--config", path]) == 0
+    written = trajectory.read_text()
+    capfd.readouterr()
+    assert main(["eig", "--config", path, "--at", "init"]) == 0
+    captured = capfd.readouterr()
+    assert captured.out == eig_line(path)[1]
+    assert captured.err == ""
+    assert trajectory.read_text() == written
 
 
 def test_bound_command(capfd):
@@ -214,6 +272,50 @@ def test_the_blas_thread_count_changes_no_output(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert len(outputs[0].splitlines()) == 11
+    assert outputs[0] == outputs[1]
+
+
+DISPATCH_CHILD = """
+import sys
+sys.path.insert(0, {tests!r})
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from sharpopt.config import ObjectiveSpec, RunConfig, SweepSpec, toy_preset
+from sharpopt.runner import format_sweep, sweep
+from test_sweep_stack import QUADRATIC, reference_rows
+
+spec = SweepSpec(gammas=(0.0, 0.5, 0.9), rhos=(0.3, 1.0), eig=True)
+print(" ".join(t for t in __cpu_dispatch__ if __cpu_features__[t]))
+sys.stdout.write(format_sweep(sweep(toy_preset(gamma=0.5, steps=60, seed=3), spec)))
+quadratic = RunConfig(objective=QUADRATIC, mode="wsam", base_kind="adam", alpha=0.05,
+                      steps=40, batch_size=2, init=(0.5, -0.5))
+sys.stdout.write(format_sweep(sweep(quadratic, spec)))
+logistic = RunConfig(objective=ObjectiveSpec(kind="logistic", num_examples=256, dim=16),
+                     mode="sam", base_kind="adam", alpha=0.05, steps=20, batch_size=32, seed=1)
+rows = format_sweep(sweep(logistic, spec))
+print("logistic rows are their runs:", rows == format_sweep(reference_rows(logistic, spec)))
+"""
+
+
+def test_the_cpu_dispatch_changes_no_toy_or_quadratic_output_and_no_row_identity():
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        pytest.skip("this numpy does not report its CPU dispatch")
+    dispatched = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    if not dispatched:
+        pytest.skip("numpy dispatches to no CPU feature above its baseline here")
+    child = DISPATCH_CHILD.format(tests=os.path.dirname(os.path.abspath(__file__)))
+    outputs = []
+    for disabled in ("", " ".join(dispatched)):
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled)
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        features, *tables, verdict = proc.stdout.splitlines()
+        assert features == ("" if disabled else " ".join(dispatched))
+        assert verdict == "logistic rows are their runs: True"
+        outputs.append(tables)
+    assert len(outputs[0]) == 2 * 7
     assert outputs[0] == outputs[1]
 
 

@@ -14,10 +14,11 @@ import argparse
 
 import numpy as np
 
-from sharpopt.analysis import StepRecord, Trajectory, regret_curve
-from sharpopt.core import inverse_sqrt
+from sharpopt.analysis import regret_curve
+from sharpopt.config import ObjectiveSpec, RunConfig
+from sharpopt.core import INVERSE_SQRT
 from sharpopt.objectives import SEED_STREAM_DATASET, BatchSampler, Quadratic
-from sharpopt.sam import SamConfig, step_sgd_wsam
+from sharpopt.runner import run
 
 
 def one_run(seed: int, horizon: int, gamma: float, alpha: float, rho: float,
@@ -25,18 +26,13 @@ def one_run(seed: int, horizon: int, gamma: float, alpha: float, rho: float,
     rng = np.random.default_rng([seed, SEED_STREAM_DATASET])
     centers = rng.standard_normal((num_centers, 1))
     obj = Quadratic(a=(1.0,), centers=centers)
+    # the spec names the objective's kind and dimension; its centers are drawn here
+    cfg = RunConfig(objective=ObjectiveSpec(kind="quadratic", a=(1.0,), centers=()),
+                    mode="coupled", base_kind="sgd", alpha=alpha, alpha_schedule=INVERSE_SQRT,
+                    rho=rho, rho_schedule=INVERSE_SQRT, gamma=gamma, batch_size=1,
+                    steps=horizon, seed=seed, init=(1.0,))
     sampler = BatchSampler(seed=seed, batch_size=1, num_examples=num_centers)
-    cfg = SamConfig(alpha_schedule=inverse_sqrt(alpha), mode="coupled",
-                    rho=rho, rho_schedule=inverse_sqrt(rho), gamma=gamma)
-    w = np.array([1.0])
-    records = []
-    for t in range(1, horizon + 1):
-        out = step_sgd_wsam(obj, w, sampler.batch_at(t), cfg, t)
-        records.append(StepRecord(t=t, loss=out.loss_at_w, grad_norm=out.grad_tilde_norm,
-                                  sharpness=out.sharpness_term, w=out.new_w))
-        w = out.new_w
-    traj = Trajectory(records=tuple(records), final_w=w)
-    return regret_curve(traj, obj, centers.mean(axis=0), batch_at=sampler.batch_at)
+    return regret_curve(run(cfg, obj), obj, centers.mean(axis=0), batch_at=sampler.batch_at)
 
 
 def main() -> int:

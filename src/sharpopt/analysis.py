@@ -7,9 +7,10 @@ endpoints against the catalogued minima.
 
 ``hvp`` and the power iteration work on a point or on a (K, d) stack of
 points, as the step does. ``power_iteration`` is the one-row case of a
-stacked iteration whose rows stop on their own, each step differencing all
-unfinished rows in one evaluation; a sweep runs one per seed group, and
-each row's estimate is ``power_iteration`` of that row, bit for bit.
+stacked iteration whose rows stop, or fail, on their own, each step
+differencing all unfinished rows in one evaluation; a sweep runs one per
+seed group, and each row's outcome, an estimate or the error of a probe
+outside the domain, is ``power_iteration``'s for that row, bit for bit.
 """
 from __future__ import annotations
 
@@ -144,15 +145,17 @@ def power_iteration(
 ) -> EigEstimate:
     """Dominant (largest-magnitude) Hessian eigenvalue from a seeded start.
 
-    Iterates v <- Hv/|Hv| and watches the Rayleigh quotient; stops when its
-    relative change drops below tol. A vanishing Hv short-circuits to 0.
+    Iterates v <- Hv/|Hv| until the Rayleigh quotient's relative change drops
+    below tol. A vanishing Hv gives 0; a probe off the domain raises DomainError.
     """
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    w = as_vector(w)
-    return _power_rows(obj, w[None, :], seed, batch, max_iters, tol)[0]
+    (est,) = _power_rows(obj, as_vector(w)[None, :], seed, batch, max_iters, tol)
+    if isinstance(est, Exception):
+        raise est
+    return est
 
 
 def _power_rows(
@@ -162,15 +165,15 @@ def _power_rows(
     batch: BatchSpec = FULL_BATCH,
     max_iters: int = POWER_MAX_ITERS,
     tol: float = POWER_TOL,
-) -> list[EigEstimate]:
+) -> list[EigEstimate | Exception]:
     """``power_iteration`` of each row of a (K, d) stack of finite points, as one iteration.
 
     Every row starts from the seed's direction and keeps its own iteration
     count and residual; each step makes one ``hvp`` call on the rows still
     iterating, and each row's estimate is its ``power_iteration``, bit for
-    bit. A row whose stacked Hv is not finite is redone by the point ``hvp``,
-    and the first row whose point path raises raises here too, once no
-    earlier row can.
+    bit. A row whose stacked Hv is not finite is redone by the point ``hvp``;
+    where that raises, the exception is the row's entry and the row stops,
+    while the other rows carry on.
     """
     rng = np.random.default_rng([seed, SEED_STREAM_EIG])
     v = rng.standard_normal(W.shape[1])
@@ -178,35 +181,30 @@ def _power_rows(
     # hvp's step times |v|; taken once, since a strided row's norm may round
     # otherwise than the contiguous copy that dropping finished rows makes
     scale = 1e-4 * (1.0 + row_norms(W))
-    estimates: list[EigEstimate | None] = [None] * len(W)
+    estimates: list[EigEstimate | Exception | None] = [None] * len(W)
     rows = np.arange(len(W))  # the rows still iterating, and their W, V, scale and last quotient
-    lam_prev = residual = None
-    raised: tuple[int, Exception] | None = None
+    lam_prev = math.inf  # so the first residual is inf
     for k in range(1, max_iters + 1):
         h = (scale / row_norms(V))[:, None]
         Hv = hvp(obj, W, V, batch, h)
+        go = None
         for j in np.flatnonzero(~np.isfinite(Hv).all(axis=1)).tolist():
             try:
                 Hv[j] = hvp(obj, W[j], V[j], batch, float(h[j, 0]))
             except (DomainError, ArithmeticError) as exc:  # what a stack row reads as NaN
-                if raised is None or rows[j] < raised[0]:
-                    raised = (int(rows[j]), exc)
+                estimates[rows[j]] = exc
+                go = np.ones(len(rows), dtype=bool) if go is None else go
+                go[j] = False  # its non-finite Hv keeps it out of stop as well
         lam = np.vecdot(V, Hv)
         norm = row_norms(Hv)
-        if k > 1:
-            residual = np.abs(lam - lam_prev) / np.maximum(np.abs(lam), 1e-300)
-            stop = (norm == 0.0) | (residual < tol)
-        else:
-            residual = np.full(len(rows), math.inf)
-            stop = norm == 0.0
+        residual = np.abs(lam - lam_prev) / np.maximum(np.abs(lam), 1e-300)
+        stop = (norm == 0.0) | (residual < tol)
         for j in np.flatnonzero(stop).tolist():
             if norm[j] == 0.0:
                 estimates[rows[j]] = EigEstimate(0.0, k, 0.0)
             else:
                 estimates[rows[j]] = EigEstimate(float(lam[j]), k, float(residual[j]))
-        go = ~stop
-        if raised is not None:
-            go &= rows < raised[0]  # a later row's result is never read
+        go = ~stop if go is None else go & ~stop
         if not go.any():
             break
         if not go.all():
@@ -217,8 +215,6 @@ def _power_rows(
     else:  # the rows still iterating stop at max_iters
         for j, row in enumerate(rows.tolist()):
             estimates[row] = EigEstimate(float(lam[j]), max_iters, float(residual[j]))
-    if raised is not None:
-        raise raised[1]
     return estimates
 
 

@@ -10,17 +10,17 @@ import dataclasses
 import sys
 
 from .analysis import GenBoundInputs, classify_minimum, generalization_bound, power_iteration
-from .config import ConfigError, parse_config, parse_sweep_config, toy_preset
-from .core import l2_norm
+from .config import FORMATS, parse_config, parse_sweep_config, toy_preset
+from .core import DomainError, l2_norm
 from .objectives import check_gradients
 from .runner import (
     NumericBlowup,
+    _start,
     build_objective,
     emit,
     format_eig,
     format_sweep,
     format_trajectory,
-    initial_w,
     run,
     sweep,
 )
@@ -53,7 +53,7 @@ def _build_parser() -> _Parser:
     p_sweep.set_defaults(handler=_cmd_sweep)
     for p in (p_run, p_sweep):
         p.add_argument("--out", help="output path (default: [run] out, else stdout)")
-        p.add_argument("--format", choices=("csv", "jsonl"), help="default: [run] format, else csv")
+        p.add_argument("--format", choices=FORMATS, help="default: [run] format, else csv")
 
     p_toy = sub.add_parser("toy", help="two-minima trajectory demo")
     p_toy.add_argument("--gamma", type=float, required=True)
@@ -62,7 +62,7 @@ def _build_parser() -> _Parser:
     p_toy.add_argument("--seed", type=int, default=0)
     p_toy.add_argument("--record-every", type=int, default=1)
     p_toy.add_argument("--out", default=None, help="CSV destination (default stdout)")
-    p_toy.add_argument("--format", default="csv", choices=("csv", "jsonl"))
+    p_toy.add_argument("--format", default="csv", choices=FORMATS)
     p_toy.set_defaults(handler=_cmd_toy)
 
     p_eig = sub.add_parser("eig", help="dominant Hessian eigenvalue of a configured run")
@@ -70,7 +70,7 @@ def _build_parser() -> _Parser:
     p_eig.add_argument("--at", default="final", choices=("final", "init"))
     # [run] out and format name the run's own output, which eig must not overwrite
     p_eig.add_argument("--out", default=None, help="output path (default stdout)")
-    p_eig.add_argument("--format", default="csv", choices=("csv", "jsonl"))
+    p_eig.add_argument("--format", default="csv", choices=FORMATS)
     p_eig.set_defaults(handler=_cmd_eig)
 
     p_bound = sub.add_parser("bound", help="generalization-bound calculator")
@@ -153,11 +153,12 @@ def _cmd_toy(args) -> int:
 def _cmd_eig(args) -> int:
     cfg = parse_config(_load_text(args.config))
     obj = build_objective(cfg)
-    if args.at == "final":
-        w = run(cfg, obj).final_w
-    else:
-        w = initial_w(cfg, obj)
-    est = power_iteration(obj, w, seed=cfg.seed)
+    w = run(cfg, obj).final_w if args.at == "final" else _start(cfg, obj)
+    try:
+        est = power_iteration(obj, w, seed=cfg.seed)
+    except DomainError as exc:
+        print(f"sharpopt: power iteration left the objective's domain: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     # the estimate is the whole of eig's output on stdout
     summary = None if args.out is None else f"lambda_max={est.lambda_max:.6g}"
     _write(format_eig(est, args.format), args.out, summary)
@@ -188,7 +189,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"sharpopt: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericBlowup as exc:

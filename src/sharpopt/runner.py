@@ -15,8 +15,8 @@ evaluated with the point arithmetic, each sweep row equals the ``run`` of
 its cell bit for bit. A row that fails stays in the stack, frozen at its
 last finite point, while the others carry on, so the stack keeps its K rows
 for the whole run and only ``_advance`` knows that a row can fail. With eig,
-a seed group's ok rows run one stacked power iteration, and each row's
-estimate equals ``power_iteration`` of its endpoint bit for bit.
+a seed group's ok rows run one stacked power iteration: each row's estimate
+is ``power_iteration`` of its endpoint bit for bit, or None where that raises.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .analysis import EigEstimate, StepRecord, Trajectory, _power_rows, classify_minimum
 from .base_optimizers import BaseOptState
-from .config import RunConfig, SweepSpec
+from .config import FORMATS, RunConfig, SweepSpec
 from .core import Schedule, as_vector, l2_norm
 from .objectives import (
     FULL_BATCH,
@@ -195,6 +195,7 @@ def sweep(cfg: RunConfig, spec: SweepSpec) -> list[SweepRow]:
     of one seed share their objective and step together as one stack. A
     cell is diverged when its run blows up, or when its final full-batch
     loss is non-finite or above the full-batch loss at its initial point.
+    With eig, an ok cell whose probe leaves the domain has lambda_max None.
     """
     axes = [values or (getattr(cfg, field),) for field, values in spec.grids.items()]
     # (gamma, rho, alpha, seed) cells; spec has checked its values with cfg's rules
@@ -223,7 +224,8 @@ def sweep(cfg: RunConfig, spec: SweepSpec) -> list[SweepRow]:
             if not good:
                 rows[i] = SweepRow(*cells[i], "diverged")
                 continue
-            lam = next(eig).lambda_max if spec.eig else None
+            est = next(eig, None)
+            lam = est.lambda_max if isinstance(est, EigEstimate) else None
             minimum = classify_minimum(w) if cfg.objective.kind == "toy" else None
             rows[i] = SweepRow(*cells[i], "ok", loss, l2_norm(grad), lam, minimum)
     return rows
@@ -237,7 +239,7 @@ def _table(header: list[str], rows, fmt: str) -> str:
     JSONL. Names and strings are the program's own words, which need no
     escaping, so json is not imported at start-up.
     """
-    if fmt not in ("csv", "jsonl"):
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
 
     def field(x) -> str:

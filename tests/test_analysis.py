@@ -256,12 +256,14 @@ def test_a_probe_that_leaves_the_domain_raises_from_the_stack_as_from_its_point(
     toy = ToyLandscape()
     with pytest.raises(DomainError) as point:
         power_iteration(toy, bad, seed=0)
-    with pytest.raises(DomainError) as one_row:
-        _power_rows(toy, np.array([bad]), 0)
-    with pytest.raises(DomainError) as stacked:
-        _power_rows(toy, np.array([[-6.0, 10.0], bad, [5.0, 3.0]]), 0)
-    assert str(point.value) == str(one_row.value) == str(stacked.value)
+    # the row's error is its entry, and the rows around it keep their estimates
+    (one_row,) = _power_rows(toy, np.array([bad]), 0)
+    first, stacked, last = _power_rows(toy, np.array([[-6.0, 10.0], bad, [5.0, 3.0]]), 0)
+    assert type(one_row) is type(stacked) is DomainError
+    assert str(point.value) == str(one_row) == str(stacked)
     assert str(point.value) == "toy landscape requires sigma > 0"
+    assert first == power_iteration(toy, [-6.0, 10.0], seed=0)
+    assert last == power_iteration(toy, [5.0, 3.0], seed=0)
 
 
 # --- trajectory curves ------------------------------------------------------------

@@ -6,17 +6,18 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharpopt import cli, runner
-from sharpopt.analysis import power_iteration
+from sharpopt import analysis, cli, runner
+from sharpopt.analysis import classify_minimum, power_iteration
 from sharpopt.cli import main
 from sharpopt.config import ConfigError, parse_config, parse_sweep_config
-from sharpopt.core import DomainError
-from sharpopt.runner import sweep
+from sharpopt.core import DomainError, l2_norm
+from sharpopt.runner import SweepRow, format_sweep, sweep
 
 TOY_DOC = "[objective]\nkind = toy\n"
 QUAD_DOC = """
@@ -225,6 +226,60 @@ def test_divergent_run_exits_two(tmp_path, capfd):
     assert "last finite step" in capfd.readouterr().err
 
 
+# one vanilla sgd step from (20, 200) at alpha 2983.1 ends at sigma ~0.0014, where the power
+# iteration's difference probe crosses sigma = 0; at alpha 1 it stays far inside the domain
+EDGE_RUN = ("[objective]\nkind = toy\n[optimizer]\nmode = vanilla\nbase = sgd\nalpha = 2983.1\n"
+            "[run]\ninit = 20, 200\nsteps = 1\n")
+
+
+def test_eig_exits_two_when_its_probe_leaves_the_domain_after_the_run_stepped(tmp_path, capfd):
+    path = write(tmp_path, EDGE_RUN)
+    assert main(["run", "--config", path]) == 0
+    capfd.readouterr()
+    assert main(["eig", "--config", path, "--at", "final"]) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("sharpopt: power iteration left the objective's domain: "
+                            "toy landscape requires sigma > 0\n")
+
+
+def test_eig_at_a_start_outside_the_domain_exits_one_before_any_iteration(
+        tmp_path, capfd, monkeypatch):
+    calls, hvp = [], analysis.hvp
+
+    def counting(*args):
+        calls.append(1)
+        return hvp(*args)
+
+    monkeypatch.setattr(analysis, "hvp", counting)
+    assert main(["eig", "--config", write(tmp_path, TOY_DOC + "[run]\ninit = 5, -1\n"),
+                 "--at", "init"]) == 1
+    assert capfd.readouterr().err == "sharpopt: toy landscape requires sigma > 0\n"
+    assert calls == []
+
+
+def test_a_sweep_keeps_an_ok_row_whose_probe_leaves_the_domain_without_its_lambda_max(
+        tmp_path, capfd):
+    doc = EDGE_RUN + "[sweep]\nalpha = 1, 2983.1\neig = true\n"
+    assert main(["sweep", "--config", write(tmp_path, doc)]) == 0
+    captured = capfd.readouterr()
+    assert captured.err == "cells=2 diverged=0\n"
+    rows = sweep(*parse_sweep_config(doc))
+    assert captured.out == format_sweep(rows)
+    for row, alpha in zip(rows, (1.0, 2983.1)):
+        cfg = replace(parse_config(EDGE_RUN), alpha=alpha)
+        obj = runner.build_objective(cfg)
+        w = runner.run(cfg, obj).final_w
+        loss, grad = obj.loss_grad(w)
+        lam = power_iteration(obj, w, seed=cfg.seed).lambda_max if alpha == 1.0 else None
+        assert row == SweepRow(cfg.gamma, cfg.rho, alpha, cfg.seed, "ok", loss, l2_norm(grad),
+                               lam, classify_minimum(w))
+    assert rows[0].lambda_max is not None
+    assert captured.out.splitlines()[2].split(",")[7] == ""
+    with pytest.raises(DomainError, match="toy landscape requires sigma > 0"):
+        power_iteration(obj, w, seed=cfg.seed)
+
+
 def test_bound_domain_error_exits_one(capfd):
     code = main([
         "bound", "--d", "10", "--m", "1000", "--n", "5", "--rho", "0.1",
@@ -360,9 +415,9 @@ SWEEP_SECTION = st.tuples(
 ).map(lambda lines: "[sweep]\n" + "".join(lines))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(command=st.sampled_from(("run", "sweep")), optimizer=section("optimizer"),
-       run_section=section("run"), sweep_section=SWEEP_SECTION)
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(command=st.sampled_from(("run", "sweep", "eig --at final", "eig --at init")),
+       optimizer=section("optimizer"), run_section=section("run"), sweep_section=SWEEP_SECTION)
 def test_generated_documents_exit_one_only_before_any_step(command, optimizer, run_section,
                                                             sweep_section):
     doc = TOY_DOC + optimizer + run_section + (sweep_section if command == "sweep" else "")
@@ -385,7 +440,8 @@ def test_generated_documents_exit_one_only_before_any_step(command, optimizer, r
             fh.write(doc)
         stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([command, "--config", path])
+            name, *flags = command.split()
+            code = main([name, "--config", path, *flags])
     assert code in (0, 1, 2)
     if rejection is not None:
         assert (code, stderr.getvalue()) == (1, rejection)

@@ -91,10 +91,24 @@ def hvp(obj: Objective, w, v, batch: BatchSpec = FULL_BATCH, h: float | None = N
     if v_norm == 0.0:
         return np.zeros_like(w)
     if h is None:
-        h = 1e-4 * (1.0 + l2_norm(w)) / v_norm
+        h = 1e-4 * (1.0 + _step_norms(w[None, :])[0]) / v_norm
     elif h <= 0.0:
         raise ValueError("difference step h must be > 0")
     return (obj.grad(w + h * v, batch) - obj.grad(w - h * v, batch)) / (2.0 * h)
+
+
+def _step_norms(W: np.ndarray) -> np.ndarray:
+    """row_norms of finite (K, d) points, finite where the sum of squares overflows.
+
+    Only such a row (|w| past about 1.3e154) is taken again over its largest |entry|.
+    """
+    with np.errstate(over="ignore"):
+        norms = row_norms(W)
+        big = np.isinf(norms)
+        if big.any():
+            top = np.abs(W[big]).max(axis=1)
+            norms[big] = top * row_norms(W[big] / top[:, None])
+    return norms
 
 
 def _hvp_rows(obj: Objective, W: np.ndarray, V: np.ndarray, batch: BatchSpec, h) -> np.ndarray:
@@ -180,7 +194,7 @@ def _power_rows(
     V = np.tile(v / l2_norm(v), (len(W), 1))
     # hvp's step times |v|; taken once, since a strided row's norm may round
     # otherwise than the contiguous copy that dropping finished rows makes
-    scale = 1e-4 * (1.0 + row_norms(W))
+    scale = 1e-4 * (1.0 + _step_norms(W))
     estimates: list[EigEstimate | Exception | None] = [None] * len(W)
     rows = np.arange(len(W))  # the rows still iterating, and their W, V, scale and last quotient
     lam_prev = math.inf  # so the first residual is inf

@@ -74,11 +74,14 @@ class DiagPrecond:
     diag: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.diag is not None:
-            d = np.asarray(self.diag, dtype=np.float64)
-            if np.any(d <= 0.0):
-                raise ValueError("preconditioner diagonal entries must be > 0")
+        d = self.diag
+        if d is None:
+            return
+        if not (type(d) is np.ndarray and d.dtype == np.float64):
+            d = np.asarray(d, dtype=np.float64)
             object.__setattr__(self, "diag", d)
+        if (d <= 0.0).any():
+            raise ValueError("preconditioner diagonal entries must be > 0")
 
 
 IDENTITY = DiagPrecond()

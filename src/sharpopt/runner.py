@@ -10,13 +10,16 @@ identity with its run.
 One step loop, ``_advance``, advances one config's runs for K (gamma, rho,
 alpha) cells as a (K, d) stack: one ``step`` call per step for the whole
 stack. ``run`` is its one-row case. ``sweep`` groups its grid cells by
-seed and advances each group's cells together; since every row is
-evaluated with the point arithmetic, each sweep row equals the ``run`` of
-its cell bit for bit. A row that fails stays in the stack, frozen at its
-last finite point, while the others carry on, so the stack keeps its K rows
-for the whole run and only ``_advance`` knows that a row can fail. With eig,
-a seed group's ok rows run one stacked power iteration: each row's estimate
-is ``power_iteration`` of its endpoint bit for bit, or None where that raises.
+seed and advances each group's distinct runs together, one row per run:
+cells that differ only in a value their mode does not read (``sam.READS``;
+gamma for sam, gamma and rho for vanilla) are one run, stepped and probed
+once. Since every row is evaluated with the point arithmetic, each sweep
+row equals the ``run`` of its cell bit for bit. A row that fails stays in
+the stack, frozen at its last finite point, while the others carry on, so
+the stack keeps its K rows for the whole run and only ``_advance`` knows
+that a row can fail. With eig, a seed group's ok rows run one stacked power
+iteration: each row's estimate is ``power_iteration`` of its endpoint bit
+for bit, or None where that raises.
 """
 from __future__ import annotations
 
@@ -41,7 +44,7 @@ from .objectives import (
     RowByRow,
     ToyLandscape,
 )
-from .sam import StepOutput, step
+from .sam import READS, StepOutput, step
 
 SNAPSHOT_DIM_LIMIT = 16
 
@@ -192,10 +195,14 @@ def sweep(cfg: RunConfig, spec: SweepSpec) -> list[SweepRow]:
 
     Every seed group's start is checked before the first group steps, so a
     start outside the domain raises DomainError before any step. The cells
-    of one seed share their objective and step together as one stack. A
-    cell is diverged when its run blows up, or when its final full-batch
-    loss is non-finite or above the full-batch loss at its initial point.
-    With eig, an ok cell whose probe leaves the domain has lambda_max None.
+    of one seed share their objective and step together as one stack, one
+    row per distinct run: cells that agree on the values their mode reads
+    (``sam.READS``) are one run, stepped, evaluated and probed once as its
+    first cell, and each such cell's row reports that run under its own
+    labels. A run is diverged when it blows up, or when its final
+    full-batch loss is non-finite or above the full-batch loss at its
+    initial point. With eig, an ok run whose probe leaves the domain has
+    lambda_max None.
     """
     axes = [values or (getattr(cfg, field),) for field, values in spec.grids.items()]
     # (gamma, rho, alpha, seed) cells; spec has checked its values with cfg's rules
@@ -203,6 +210,7 @@ def sweep(cfg: RunConfig, spec: SweepSpec) -> list[SweepRow]:
     groups: dict[int, list[int]] = {}
     for i, cell in enumerate(cells):
         groups.setdefault(cell[3], []).append(i)
+    read = [field in READS[cfg.mode] for field in ("gamma", "rho", "alpha")]
     seed_cfgs = [replace(cfg, seed=seed) for seed in groups]
     # a start reads only the objective's dimension and domain, which no seed changes
     obj = build_objective(seed_cfgs[0])
@@ -211,23 +219,31 @@ def sweep(cfg: RunConfig, spec: SweepSpec) -> list[SweepRow]:
     for n, (seed_cfg, group, w0) in enumerate(zip(seed_cfgs, groups.values(), starts)):
         if n > 0:
             obj = build_objective(seed_cfg)
-        final, failures = _advance(seed_cfg, [cells[i][:3] for i in group], obj, w0)
+        # a cell's run is its values with the ones its mode does not read masked
+        # out; hex tells -0.0 from 0.0, which a step can tell apart
+        runs: dict[tuple, list[int]] = {}  # each run's cells, in grid order
+        for i in group:
+            key = tuple(float(x).hex() if r else None for r, x in zip(read, cells[i]))
+            runs.setdefault(key, []).append(i)
+        final, failures = _advance(seed_cfg, [cells[same[0]][:3] for same in runs.values()],
+                                   obj, w0)
         start_loss = obj.loss(w0)
-        # a final point outside the domain reads NaN here, so its row is diverged
+        # a final point outside the domain reads NaN here, so its run is diverged
         with np.errstate(all="ignore"):
             losses, grads = obj.loss_grad(final)
         ok = [failure is None and math.isfinite(loss) and not loss > start_loss
               for loss, failure in zip(losses.tolist(), failures)]
-        # one stacked power iteration over the group's ok rows
+        # one stacked power iteration over the group's ok runs
         eig = iter(_power_rows(obj, final[ok], seed_cfg.seed) if spec.eig and any(ok) else ())
-        for i, w, loss, grad, good in zip(group, final, losses.tolist(), grads, ok):
-            if not good:
-                rows[i] = SweepRow(*cells[i], "diverged")
-                continue
-            est = next(eig, None)
-            lam = est.lambda_max if isinstance(est, EigEstimate) else None
-            minimum = classify_minimum(w) if cfg.objective.kind == "toy" else None
-            rows[i] = SweepRow(*cells[i], "ok", loss, l2_norm(grad), lam, minimum)
+        for same, w, loss, grad, good in zip(runs.values(), final, losses.tolist(), grads, ok):
+            outcome = ("diverged",)
+            if good:
+                est = next(eig, None)
+                lam = est.lambda_max if isinstance(est, EigEstimate) else None
+                minimum = classify_minimum(w) if cfg.objective.kind == "toy" else None
+                outcome = ("ok", loss, l2_norm(grad), lam, minimum)
+            for i in same:
+                rows[i] = SweepRow(*cells[i], *outcome)
     return rows
 
 

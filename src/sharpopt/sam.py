@@ -31,15 +31,26 @@ VANILLA = "vanilla"
 SAM = "sam"
 WSAM = "wsam"
 COUPLED = "coupled"
-MODES = (VANILLA, SAM, WSAM, COUPLED)
+# mode -> the step parameters its arithmetic reads; runs of one mode that
+# agree on these step alike, whatever the others hold
+READS = {
+    VANILLA: ("alpha",),
+    SAM: ("rho", "alpha"),
+    WSAM: ("gamma", "rho", "alpha"),
+    COUPLED: ("gamma", "rho", "alpha"),
+}
+MODES = tuple(READS)
 
 
 @dataclass(frozen=True)
 class SamConfig:
-    """Stepping hyperparameters; vanilla mode ignores rho, gamma, adaptive.
+    """Stepping hyperparameters.
 
-    gamma, rho and the schedules' bases are reals, or (K, 1) columns of
-    one value per row of a stack.
+    READS lists which of gamma, rho and alpha each mode reads; a value its
+    mode does not read changes no bit of a step (vanilla ignores adaptive
+    too), so a sweep steps cells that differ only there as one run. gamma,
+    rho and the schedules' bases are reals, or (K, 1) columns of one value
+    per row of a stack.
     """
 
     alpha_schedule: Schedule

@@ -1,5 +1,6 @@
 """Curvature probes, regret curves, the bound calculator, and minima bookkeeping."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,18 @@ def test_a_probe_that_leaves_the_domain_raises_from_the_stack_as_from_its_point(
     assert str(point.value) == "toy landscape requires sigma > 0"
     assert first == power_iteration(toy, [-6.0, 10.0], seed=0)
     assert last == power_iteration(toy, [5.0, 3.0], seed=0)
+
+
+def test_power_iteration_past_a_norm_whose_square_overflows():
+    quad = Quadratic(a=(1.0, 2.0, 3.0), centers=[(0.0, 0.0, 0.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = power_iteration(quad, [1e160, 1.0, 1.0])
+        # the big row takes its step from its rescaled norm; the row beside it keeps its bits
+        stacked = _power_rows(quad, np.array([[1e160, 1.0, 1.0], [1e10, 1.0, 1.0]]), 0)
+    assert big.lambda_max == pytest.approx(3.0, rel=1e-5)
+    assert power_iteration(quad, [1e10, 1.0, 1.0]).lambda_max == 2.9999983780410107
+    assert stacked == [big, power_iteration(quad, [1e10, 1.0, 1.0])]
 
 
 # --- trajectory curves ------------------------------------------------------------

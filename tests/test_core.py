@@ -100,6 +100,13 @@ def test_diag_preconditioner_requires_positive_entries():
         DiagPrecond(np.array([-1.0, 2.0]))
 
 
+def test_diag_preconditioner_keeps_a_float_array_and_lets_nan_through():
+    d = np.array([2.0, np.nan])
+    assert DiagPrecond(d).diag is d  # a NaN is finite_rows' to catch, row by row
+    converted = DiagPrecond([1, 2]).diag
+    assert converted.dtype == np.float64 and converted.tolist() == [1.0, 2.0]
+
+
 def test_schedule_values():
     assert constant(5.0).value_at(1) == 5.0
     assert constant(5.0).value_at(100) == 5.0

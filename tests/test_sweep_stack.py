@@ -281,3 +281,66 @@ def test_generated_grids_match_their_runs(quadratic, mode, base, clip, adaptive,
     cfg = replace(cfg, mode=mode, base_kind=base, clip_norm=clip, adaptive=adaptive)
     spec = SweepSpec(gammas=tuple(gammas), rhos=tuple(rhos), alphas=tuple(alphas), seeds=(0, 1))
     assert_rows_match(cfg, spec)
+
+
+def stack_heights(monkeypatch):
+    """Each runner.step call's stack height, as the sweep makes them."""
+    heights, step = [], runner.step
+
+    def recording(obj, W, *args):
+        heights.append(W.shape[0])
+        return step(obj, W, *args)
+
+    monkeypatch.setattr(runner, "step", recording)
+    return heights
+
+
+def distinct_runs(mode, gammas, rhos, alphas):
+    """How many runs a seed group of the (gammas x rhos x alphas) grid steps in mode."""
+    read = {"vanilla": (alphas,), "sam": (rhos, alphas)}.get(mode, (gammas, rhos, alphas))
+    return math.prod(len(set(values)) for values in read)
+
+
+@pytest.mark.parametrize("mode,base", list(itertools.product(MODES, ("sgd", "sgdm", "adam"))))
+def test_cells_that_differ_only_in_unread_values_step_as_one_row(monkeypatch, mode, base):
+    # 0.5 repeats, so it merges in every mode
+    gammas, rhos, alphas = (0.0, 0.5, 0.9, 0.5), (1.0, 2.0), (1.0, 3.0)
+    cfg = replace(toy_preset(gamma=0.5, mode=mode, steps=40), base_kind=base)
+    spec = SweepSpec(gammas=gammas, rhos=rhos, alphas=alphas, seeds=(0, 1), eig=True)
+    heights = stack_heights(monkeypatch)
+    sweep(cfg, spec)
+    want = {"vanilla": 2, "sam": 4, "wsam": 12, "coupled": 12}[mode]
+    assert want == distinct_runs(mode, gammas, rhos, alphas)
+    assert heights == [want] * (2 * cfg.steps)
+    monkeypatch.undo()
+    assert_rows_match(cfg, spec)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_toy_gamma_sweep_steps_one_row_where_its_mode_reads_no_gamma(monkeypatch, mode):
+    gammas = tuple(round(0.05 * i, 2) for i in range(20))
+    cfg = toy_preset(gamma=0.5, mode=mode, steps=150)
+    spec = SweepSpec(gammas=gammas, eig=True)
+    heights = stack_heights(monkeypatch)
+    sweep(cfg, spec)
+    assert heights == [1 if mode in ("vanilla", "sam") else 20] * cfg.steps
+    monkeypatch.undo()
+    rows = assert_rows_match(cfg, spec)
+    assert [r.gamma for r in rows] == list(gammas)
+    if mode in ("vanilla", "sam"):
+        assert len({(r.final_loss, r.lambda_max, r.minimum) for r in rows}) == 1
+
+
+@pytest.mark.parametrize("mode,base", list(itertools.product(MODES, ("sgd", "sgdm", "adam"))))
+def test_a_merged_run_that_diverges_labels_every_cell_diverged(monkeypatch, mode, base):
+    cfg = RunConfig(objective=QUADRATIC, mode=mode, base_kind=base, rho=0.2, batch_size=2,
+                    steps=100, init=None, init_scale=4.0)
+    gammas, rhos, alphas = (0.0, 0.5, 0.5), (0.2, 0.4), (0.1, 50.0, 1e200)
+    spec = SweepSpec(gammas=gammas, rhos=rhos, alphas=alphas, seeds=(0, 1), eig=True)
+    heights = stack_heights(monkeypatch)
+    sweep(cfg, spec)
+    assert heights == [distinct_runs(mode, gammas, rhos, alphas)] * (2 * cfg.steps)
+    monkeypatch.undo()
+    rows = assert_rows_match(cfg, spec)
+    assert {r.status for r in rows if r.alpha == 1e200} == {"diverged"}
+    assert {r.status for r in rows if r.alpha == 0.1} == {"ok"}

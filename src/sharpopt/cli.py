@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
+import os
 import sys
 
 from .analysis import GenBoundInputs, classify_minimum, generalization_bound, power_iteration
@@ -108,6 +110,27 @@ def _write(text: str, out: str | None, summary: str | None) -> None:
         print(summary, file=sys.stderr)
 
 
+def _check_out(out: str | None) -> None:
+    """Raise, before any step, the OSError that writing to out would raise; opens nothing.
+
+    out's directory must exist and be writable, and out must not be a directory.
+    """
+    if out is None:
+        return
+    parent = os.path.dirname(out) or os.curdir
+    if not out:
+        code = errno.ENOENT
+    elif os.path.isdir(out):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(out if os.path.exists(out) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), out)
+
+
 def _with_flags(cfg, args):
     """cfg with the --out and --format given on the command line over its [run] out and format."""
     flags = {k: v for k, v in (("out", args.out), ("out_format", args.format)) if v is not None}
@@ -116,6 +139,7 @@ def _with_flags(cfg, args):
 
 def _cmd_run(args) -> int:
     cfg = _with_flags(parse_config(_load_text(args.config)), args)
+    _check_out(cfg.out)
     obj = build_objective(cfg)
     traj = run(cfg, obj)
     text = format_trajectory(traj, cfg.out_format, cfg.record_every)
@@ -130,6 +154,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg, spec = parse_sweep_config(_load_text(args.config))
     cfg = _with_flags(cfg, args)
+    _check_out(cfg.out)
     rows = sweep(cfg, spec)
     text = format_sweep(rows, cfg.out_format)
     diverged = sum(1 for r in rows if r.status != "ok")
@@ -142,6 +167,7 @@ def _cmd_toy(args) -> int:
         toy_preset(gamma=args.gamma, mode=args.mode, steps=args.steps, seed=args.seed),
         record_every=args.record_every,
     )
+    _check_out(args.out)
     traj = run(cfg)
     text = format_trajectory(traj, args.format, cfg.record_every)
     # the streamed trajectory is the whole of toy's output
@@ -152,6 +178,7 @@ def _cmd_toy(args) -> int:
 
 def _cmd_eig(args) -> int:
     cfg = parse_config(_load_text(args.config))
+    _check_out(args.out)
     obj = build_objective(cfg)
     w = run(cfg, obj).final_w if args.at == "final" else _start(cfg, obj)
     try:

@@ -1,11 +1,10 @@
 """Built-in differentiable test problems behind one evaluation contract.
 
-Every objective exposes ``loss_grad(w, batch)`` returning the batch loss and
-its exact analytic gradient. Each built-in one prepares the batch's data and
-hands its point function to one dispatch, ``_evaluate``, which applies it to
-a checked point or to each row of a (K, d) stack, so each row gets the bits
-it would get alone. ``finite_diff_grad`` is the central-difference oracle the
-analytic gradients are checked against.
+Every built-in ``loss_grad(w, batch)`` returns the batch loss and its exact
+analytic gradient at a point, or at each row of a (K, d) stack with the bits
+that row gets alone. The toy is one scalar rows kernel, ``_toy_rows``, whose
+point is the checked one-row case; the array objectives hand a point function
+to ``_evaluate``. ``finite_diff_grad`` is the central-difference oracle.
 """
 from __future__ import annotations
 
@@ -119,44 +118,21 @@ class Objective:
         """Raise DomainError if w is outside the domain; reads no data. Every finite w is inside here."""
 
 
-def _by_row(evaluate, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate a stack one row at a time with the point arithmetic.
-
-    evaluate may meet a non-finite row; where it raises DomainError, or its
-    scalar math overflows, the row reads NaN.
-    """
-    losses = np.empty(len(W))
-    grads = np.empty(W.shape)
-    for k, w in enumerate(W):
-        try:
-            losses[k], grads[k] = evaluate(w)
-        except (DomainError, ArithmeticError):
-            losses[k] = grads[k] = np.nan
-    return losses, grads
-
-
-def _by_float_row(evaluate, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_by_row`` for scalar math: each row a list of Python floats, both arrays built at the end."""
-    losses, grads = [], []
-    for w in W.tolist():
-        try:
-            loss, grad = evaluate(w)
-        except (DomainError, ArithmeticError):
-            loss, grad = math.nan, [math.nan] * len(w)
-        losses.append(loss)
-        grads.append(grad)
-    return np.array(losses, dtype=np.float64), np.array(grads, dtype=np.float64).reshape(W.shape)
-
-
-def _evaluate(point, w, dim: int, by_row=_by_row) -> tuple:
-    """The one evaluation dispatch: a (K, d) stack through by_row, or one checked point.
+def _evaluate(point, w, dim: int) -> tuple:
+    """Evaluate point on each row of a (K, d) stack, or on one checked point.
 
     point(v) evaluates one float64 vector v; the gradient may be any sequence
-    of reals. A point is checked with ``as_vector`` first, a stack is not.
-    A point whose scalar math overflows reads NaN, as a stack row does.
+    of reals. A point is checked with ``as_vector`` first, a row is not; a row
+    where point raises DomainError, or any scalar math that overflows, reads NaN.
     """
     if type(w) is np.ndarray and w.ndim == 2:
-        return by_row(point, w)
+        losses, grads = np.empty(len(w)), np.empty(w.shape)
+        for k, v in enumerate(w):
+            try:
+                losses[k], grads[k] = point(v)
+            except (DomainError, ArithmeticError):
+                losses[k] = grads[k] = np.nan
+        return losses, grads
     try:
         loss, grad = point(as_vector(w, dim=dim))
     except ArithmeticError:
@@ -210,26 +186,43 @@ class ToyLandscapeParams:
 TOY_DEFAULT = ToyLandscapeParams()
 
 
-def _toy_point(w, params: ToyLandscapeParams):
-    """Loss and gradient (d mu, d sigma) at one point w = (mu, sigma), in scalar math."""
-    mu, sigma = float(w[0]), float(w[1])
-    if not 0.0 < sigma < math.inf:
-        raise DomainError("toy landscape requires sigma > 0")
+def _toy_rows(rows: list, params: ToyLandscapeParams) -> tuple[list, list]:
+    """The K losses and the flat gradients (d mu, d sigma, ...) of K float rows (mu, sigma).
+
+    Scalar math, with ``kl_univariate``'s operations inlined in their order; a
+    row outside 0 < sigma < inf, or whose math overflows, reads NaN.
+    """
     (m0, m1), (s0, s1) = params.means, params.sigmas
     (c0, c1), (t0, t1) = params.weights, params.temperatures
-    e0 = -kl_univariate(mu, sigma, m0, s0) / (t0 * t0)
-    e1 = -kl_univariate(mu, sigma, m1, s1) / (t1 * t1)
-    # log-sum-exp keeps the loss finite far from both basins
-    shift = max(e0, e1)
-    a0 = c0 * math.exp(e0 - shift)
-    a1 = c1 * math.exp(e1 - shift)
-    total = a0 + a1
-    r0 = a0 / (total * t0 * t0)
-    r1 = a1 / (total * t1 * t1)
-    # each sum starts from 0.0, as an accumulating loop's does
-    dmu = 0.0 + r0 * (mu - m0) / (s0 * s0) + r1 * (mu - m1) / (s1 * s1)
-    dsigma = 0.0 + r0 * (-1.0 / sigma + sigma / (s0 * s0)) + r1 * (-1.0 / sigma + sigma / (s1 * s1))
-    return -(shift + math.log(total)), (dmu, dsigma)
+    two_v0, two_v1, v0, v1 = 2.0 * s0 * s0, 2.0 * s1 * s1, s0 * s0, s1 * s1
+    tt0, tt1 = t0 * t0, t1 * t1
+    log, exp, nan, inf = math.log, math.exp, math.nan, math.inf
+    losses, grads = [], []
+    for mu, sigma in rows:
+        if 0.0 < sigma < inf:
+            try:
+                ss, inv, d0, d1 = sigma * sigma, -1.0 / sigma, mu - m0, mu - m1
+                e0 = -(log(s0 / sigma) + (ss + d0 ** 2) / two_v0 - 0.5) / tt0
+                e1 = -(log(s1 / sigma) + (ss + d1 ** 2) / two_v1 - 0.5) / tt1
+                # log-sum-exp keeps the loss finite far from both basins
+                shift = e1 if e1 > e0 else e0  # max(e0, e1): a tie or a NaN keeps e0, as in max
+                a0 = c0 * exp(e0 - shift)
+                a1 = c1 * exp(e1 - shift)
+                total = a0 + a1
+                r0 = a0 / (total * t0 * t0)
+                r1 = a1 / (total * t1 * t1)
+                # each sum starts from 0.0, as an accumulating loop's does
+                dmu = 0.0 + r0 * d0 / v0 + r1 * d1 / v1
+                dsigma = 0.0 + r0 * (inv + sigma / v0) + r1 * (inv + sigma / v1)
+                losses.append(-(shift + log(total)))
+                grads.append(dmu)
+                grads.append(dsigma)
+                continue
+            except ArithmeticError:
+                pass
+        losses.append(nan)
+        grads += nan, nan
+    return losses, grads
 
 
 def toy_loss(w, params: ToyLandscapeParams = TOY_DEFAULT) -> float:
@@ -251,7 +244,14 @@ class ToyLandscape(Objective):
         self.num_examples = 1
 
     def loss_grad(self, w, batch: BatchSpec = FULL_BATCH) -> tuple[float, np.ndarray]:
-        return _evaluate(lambda v: _toy_point(v, self.params), w, self.dim, _by_float_row)
+        if type(w) is np.ndarray and w.ndim == 2:
+            losses, grads = _toy_rows(w.tolist(), self.params)
+            return np.array(losses), np.array(grads).reshape(w.shape)
+        row = as_vector(w, dim=2).tolist()
+        if not row[1] > 0.0:
+            raise DomainError("toy landscape requires sigma > 0")
+        losses, grads = _toy_rows((row,), self.params)
+        return losses[0], np.array(grads)
 
     def check_domain(self, w: np.ndarray) -> None:
         self.loss_grad(w)  # the point path raises DomainError at sigma <= 0

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, and the subprocess entry point."""
 import contextlib
+import errno
 import io
 import json
 import os
@@ -509,3 +510,61 @@ def test_generated_multi_seed_sweeps_from_random_starts_exit_one_only_before_any
     # the invariants every generated document keeps, checked by that test's body
     test_generated_documents_exit_one_only_before_any_step.hypothesis.inner_test(
         "sweep", optimizer, run_section, sweep_section)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "toy", "eig"])
+@pytest.mark.parametrize("dest,code", [("missing/x.csv", errno.ENOENT), ("", errno.ENOENT),
+                                       ("cfg.ini/x.csv", errno.ENOTDIR), (".", errno.EISDIR)])
+def test_an_unwritable_destination_exits_three_before_any_step(tmp_path, capfd, monkeypatch,
+                                                               command, dest, code):
+    doc = ("[objective]\nkind = toy\n[optimizer]\nmode = wsam\nalpha = 0.1\ngamma = 0.5\n"
+           "[run]\ninit = -6, 10\nsteps = 3\n[sweep]\ngamma = 0.2, 0.8\n")
+    cfg, out = write(tmp_path, doc), str(tmp_path / dest) if dest else ""
+    argv = {"toy": ["toy", "--gamma", "0.5", "--steps", "3"]}.get(command, [command, "--config", cfg])
+    calls, step = [], runner.step
+
+    def counting(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(runner, "step", counting)
+    assert main([*argv, "--out", out]) == 3
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sharpopt: [Errno {code}] {os.strerror(code)}: {out!r}\n"
+    assert calls == []
+
+def test_a_destination_in_a_directory_without_write_access_exits_three_before_any_step(
+        tmp_path, capfd, monkeypatch):
+    # checked through os.access, so that the test also holds for a user who can write anywhere
+    calls, step = [], runner.step
+
+    def counting(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(runner, "step", counting)
+    real_access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: (
+        False if os.fspath(path) == str(tmp_path) else real_access(path, mode)))
+    out = str(tmp_path / "x.csv")
+    assert main(["toy", "--gamma", "0.5", "--steps", "3", "--out", out]) == 3
+    assert capfd.readouterr().err == f"sharpopt: [Errno 13] Permission denied: {out!r}\n"
+    assert calls == []
+    assert not os.path.exists(out)
+
+
+def test_the_destination_check_leaves_an_existing_file_alone_when_the_run_then_fails(
+        tmp_path, capfd):
+    out = tmp_path / "traj.csv"
+    out.write_text("an earlier run's output\n")
+    doc = QUAD_DOC.replace("alpha = 0.1", "alpha = 50.0").replace("steps = 10", "steps = 200")
+    assert main(["run", "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+    assert "last finite step" in capfd.readouterr().err
+    assert out.read_text() == "an earlier run's output\n"
+    # a writable destination, new or existing, is written as before
+    assert main(["run", "--config", write(tmp_path, QUAD_DOC), "--out", str(out)]) == 0
+    assert out.read_text().startswith("step,loss,grad_norm,sharpness,w_0,w_1\n")
+    fresh = tmp_path / "fresh.csv"
+    assert main(["toy", "--gamma", "0.5", "--steps", "3", "--out", str(fresh)]) == 0
+    assert len(fresh.read_text().splitlines()) == 4

@@ -174,12 +174,22 @@ INVALID_DOCS = (
     ("run", TOY_DOC + "[optimizer]\nmomentun = 0.5\n"),
 )
 
+# (argv, document) from a toy start beside sigma = 0, where the power iteration's
+# probe leaves the domain: `eig --at init` exits 2, and of the sweep's two rows,
+# alpha = 0 writes an empty lambda_max while alpha = 1e-9 gets an estimate
+EDGE_DOCS = (
+    (["eig", "--at", "init"], TOY_DOC + "[run]\ninit = 0, 0.0001\n"),
+    (["sweep"], TOY_DOC + "[optimizer]\nmode = vanilla\n[run]\ninit = 0, 0.0001\n"
+                "[sweep]\nalpha = 0, 1e-9\neig = true\n"),
+)
+
 
 def cli_config():
     """`sharpopt run|sweep --config` on every document, then on each valid one with --out.
 
-    Then `eig --at final|init` on each valid run document, `bound` on the
-    README example and with a NaN radius, and `check-grad`.
+    Then `eig --at final|init` on each valid run document, the two documents
+    at the toy's domain edge, `bound` on the README example and with a NaN
+    radius, and `check-grad`.
     """
     with tempfile.TemporaryDirectory() as tmp:
         argvs = []
@@ -196,6 +206,11 @@ def cli_config():
             if command == "run":
                 for at in ("final", "init"):
                     yield _cli(["eig", *argv[1:], "--at", at], tmp)
+        for i, (argv, doc) in enumerate(EDGE_DOCS):
+            path = os.path.join(tmp, f"edge{i}.ini")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(doc)
+            yield _cli([*argv, "--config", path], tmp)
         for rho in ("0.1", "nan"):  # the README example, then a NaN radius
             yield _cli(["bound", "--d", "10", "--m", "1000", "--n", "5", "--rho", rho, "--gamma",
                         "0.9", "--delta", "0.05", "--wnorm", "1", "--loss", "0.1"], tmp)

@@ -84,7 +84,15 @@ def hvp(obj: Objective, w, v, batch: BatchSpec = FULL_BATCH, h: float | None = N
     DomainError.
     """
     if type(w) is np.ndarray and w.ndim == 2:
-        return _hvp_rows(obj, w, v, batch, h)
+        if h is None or np.any(h <= 0.0):
+            raise ValueError("a stack needs difference steps h > 0")
+        if not obj.accepts_stacks:
+            obj = RowByRow(obj)
+        hv = h * v
+        # a NaN row here is the caller's to catch, as in the step loop
+        with np.errstate(all="ignore"):
+            G = obj.loss_grad(np.concatenate((w + hv, w - hv)), batch)[1]
+        return (G[: len(w)] - G[len(w):]) / (2.0 * h)
     w = as_vector(w)
     v = as_vector(v, dim=w.size)
     v_norm = l2_norm(v)
@@ -109,19 +117,6 @@ def _step_norms(W: np.ndarray) -> np.ndarray:
             top = np.abs(W[big]).max(axis=1)
             norms[big] = top * row_norms(W[big] / top[:, None])
     return norms
-
-
-def _hvp_rows(obj: Objective, W: np.ndarray, V: np.ndarray, batch: BatchSpec, h) -> np.ndarray:
-    """hvp of each row of W along the same row of V, the point arithmetic on columns."""
-    if h is None or np.any(h <= 0.0):
-        raise ValueError("a stack needs difference steps h > 0")
-    if not obj.accepts_stacks:
-        obj = RowByRow(obj)
-    hv = h * V
-    # a NaN row here is the caller's to catch, as in the step loop
-    with np.errstate(all="ignore"):
-        G = obj.loss_grad(np.concatenate((W + hv, W - hv)), batch)[1]
-    return (G[: len(W)] - G[len(W):]) / (2.0 * h)
 
 
 def dense_hessian(obj: Objective, w, batch: BatchSpec = FULL_BATCH, h: float | None = None) -> np.ndarray:
@@ -185,9 +180,10 @@ def _power_rows(
     Every row starts from the seed's direction and keeps its own iteration
     count and residual; each step makes one ``hvp`` call on the rows still
     iterating, and each row's estimate is its ``power_iteration``, bit for
-    bit. A row whose stacked Hv is not finite is redone by the point ``hvp``;
-    where that raises, the exception is the row's entry and the row stops,
-    while the other rows carry on.
+    bit. A row whose stacked Hv is not finite is redone by the point ``hvp``.
+    Each step ends its rows in one pass: a row whose point ``hvp`` raised
+    fails, the exception its entry even at the cap, and any other row ends
+    flat (Hv = 0), converged (residual < tol) or at max_iters.
     """
     rng = np.random.default_rng([seed, SEED_STREAM_EIG])
     v = rng.standard_normal(W.shape[1])
@@ -201,34 +197,34 @@ def _power_rows(
     for k in range(1, max_iters + 1):
         h = (scale / row_norms(V))[:, None]
         Hv = hvp(obj, W, V, batch, h)
-        go = None
+        failed = {}
         for j in np.flatnonzero(~np.isfinite(Hv).all(axis=1)).tolist():
             try:
                 Hv[j] = hvp(obj, W[j], V[j], batch, float(h[j, 0]))
             except (DomainError, ArithmeticError) as exc:  # what a stack row reads as NaN
-                estimates[rows[j]] = exc
-                go = np.ones(len(rows), dtype=bool) if go is None else go
-                go[j] = False  # its non-finite Hv keeps it out of stop as well
+                failed[j] = exc
         lam = np.vecdot(V, Hv)
         norm = row_norms(Hv)
         residual = np.abs(lam - lam_prev) / np.maximum(np.abs(lam), 1e-300)
         stop = (norm == 0.0) | (residual < tol)
+        if k == max_iters:
+            stop[:] = True
+        elif failed:
+            stop[list(failed)] = True
         for j in np.flatnonzero(stop).tolist():
-            if norm[j] == 0.0:
+            if j in failed:
+                estimates[rows[j]] = failed[j]
+            elif norm[j] == 0.0:
                 estimates[rows[j]] = EigEstimate(0.0, k, 0.0)
             else:
                 estimates[rows[j]] = EigEstimate(float(lam[j]), k, float(residual[j]))
-        go = ~stop if go is None else go & ~stop
-        if not go.any():
+        if stop.all():
             break
-        if not go.all():
+        if stop.any():
+            go = ~stop
             rows, W, scale, Hv, norm, lam = rows[go], W[go], scale[go], Hv[go], norm[go], lam[go]
-            residual = residual[go]
         V = Hv / norm[:, None]
         lam_prev = lam
-    else:  # the rows still iterating stop at max_iters
-        for j, row in enumerate(rows.tolist()):
-            estimates[row] = EigEstimate(float(lam[j]), max_iters, float(residual[j]))
     return estimates
 
 
@@ -307,22 +303,17 @@ class ToyMinima:
     flat_loss: float
 
 
-def _descend(obj: Objective, w0, lr: float, steps: int) -> np.ndarray:
-    w = as_vector(w0)
-    for _ in range(steps):
-        w = w - lr * obj.grad(w)
-    return w
-
-
 def _locate_toy_minima() -> ToyMinima:
-    """Locate both toy-landscape minima by plain descent from coarse basin guesses.
+    """Locate both toy-landscape minima by plain descent (step 2) from coarse basin guesses.
 
     The basin with the lower loss is the sharp one.
     """
     obj = ToyLandscape()
     candidates = []
     for start in ((-16.8, 12.8), (19.8, 29.9)):
-        w = _descend(obj, np.array(start), lr=2.0, steps=10_000)
+        w = np.array(start)
+        for _ in range(10_000):
+            w = w - 2.0 * obj.grad(w)
         candidates.append((w, toy_loss(w)))
     candidates.sort(key=lambda pair: pair[1])
     (sharp_w, sharp_loss), (flat_w, flat_loss) = candidates

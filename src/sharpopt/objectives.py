@@ -2,13 +2,14 @@
 
 Every built-in ``loss_grad(w, batch)`` returns the batch loss and its exact
 analytic gradient at a point, or at each row of a (K, d) stack with the bits
-that row gets alone. The toy is one scalar rows kernel, ``_toy_rows``, whose
-point is the checked one-row case; the array objectives hand a point function
+that row gets alone; a point is its checked one-row stack. The toy is one
+scalar rows kernel, ``_toy_rows``; the array objectives hand a point function
 to ``_evaluate``. ``finite_diff_grad`` is the central-difference oracle.
 """
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,25 +120,23 @@ class Objective:
 
 
 def _evaluate(point, w, dim: int) -> tuple:
-    """Evaluate point on each row of a (K, d) stack, or on one checked point.
+    """Evaluate point on each row of a (K, d) stack, or on one point as its checked one-row stack.
 
-    point(v) evaluates one float64 vector v; the gradient may be any sequence
-    of reals. A point is checked with ``as_vector`` first, a row is not; a row
-    where point raises DomainError, or any scalar math that overflows, reads NaN.
+    point(v) evaluates one float64 vector v; the gradient may be any sequence of
+    reals. A point is checked with ``as_vector`` and raises point's DomainError;
+    a row is not checked, and reads NaN there. Scalar math that overflows reads NaN.
     """
-    if type(w) is np.ndarray and w.ndim == 2:
-        losses, grads = np.empty(len(w)), np.empty(w.shape)
-        for k, v in enumerate(w):
-            try:
-                losses[k], grads[k] = point(v)
-            except (DomainError, ArithmeticError):
-                losses[k] = grads[k] = np.nan
-        return losses, grads
-    try:
-        loss, grad = point(as_vector(w, dim=dim))
-    except ArithmeticError:
-        return math.nan, np.full(dim, np.nan)
-    return loss, np.asarray(grad)
+    stack = type(w) is np.ndarray and w.ndim == 2
+    W = w if stack else as_vector(w, dim=dim)[None, :]
+    losses, grads = np.empty(len(W)), np.empty(W.shape)
+    for k, v in enumerate(W):
+        try:
+            losses[k], grads[k] = point(v)
+        except (DomainError, ArithmeticError) as exc:
+            if not stack and isinstance(exc, DomainError):
+                raise
+            losses[k] = grads[k] = np.nan
+    return (losses, grads) if stack else (float(losses[0]), grads[0])
 
 
 class RowByRow(Objective):
@@ -155,7 +154,10 @@ class RowByRow(Objective):
 
 
 def kl_univariate(mu: float, sigma: float, mu_i: float, sigma_i: float) -> float:
-    """KL divergence from N(mu, sigma^2) to N(mu_i, sigma_i^2)."""
+    """KL divergence from N(mu, sigma^2) to N(mu_i, sigma_i^2).
+
+    ``_toy_rows`` inlines its operations; ``tests/test_toy_rows.py`` calls it as the reference.
+    """
     if sigma <= 0.0 or sigma_i <= 0.0:
         raise ValueError("standard deviations must be > 0")
     return (
@@ -179,6 +181,8 @@ class ToyLandscapeParams:
             raise ValueError("component sigmas must be > 0")
         if any(t <= 0.0 for t in self.temperatures):
             raise ValueError("temperatures must be > 0")
+        if any(c < 0.0 for c in self.weights):
+            raise ValueError("mixture weights must be >= 0")
         if not math.isclose(sum(self.weights), 1.0, rel_tol=0.0, abs_tol=1e-12):
             raise ValueError("mixture weights must sum to 1")
 
@@ -362,7 +366,11 @@ class Logistic(Objective):
     @classmethod
     def from_csv(cls, path, noise_fraction: float = 0.0, seed: int = 0) -> "Logistic":
         """Load a header-row CSV of feature columns followed by a 0/1 label column."""
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if len(data) == 0:
+            raise ValueError(f"CSV {path} has no data rows")
         if data.shape[1] < 2:
             raise ValueError("CSV needs at least one feature column and a label column")
         obj = cls(data[:, :-1], data[:, -1])

@@ -267,6 +267,22 @@ def test_a_probe_that_leaves_the_domain_raises_from_the_stack_as_from_its_point(
     assert last == power_iteration(toy, [5.0, 3.0], seed=0)
 
 
+def test_a_row_that_fails_at_the_last_iteration_keeps_its_error_over_the_cap():
+    toy = ToyLandscape()
+    W = np.array([[0.0, 1e-4], [-6.0, 10.0]])
+    failed, capped = _power_rows(toy, W, 0, max_iters=2)
+    assert type(failed) is DomainError
+    assert str(failed) == "toy landscape requires sigma > 0"
+    assert capped.iterations_used == 2 and capped.residual >= 1e-6
+    assert capped == power_iteration(toy, W[1], max_iters=2)
+    with pytest.raises(DomainError):
+        power_iteration(toy, W[0], max_iters=2)
+    # one iteration earlier its probe is still inside, and the cap ends it
+    first, _ = _power_rows(toy, W, 0, max_iters=1)
+    assert first == power_iteration(toy, W[0], max_iters=1)
+    assert first.iterations_used == 1 and math.isfinite(first.lambda_max)
+
+
 def test_power_iteration_past_a_norm_whose_square_overflows():
     quad = Quadratic(a=(1.0, 2.0, 3.0), centers=[(0.0, 0.0, 0.0)])
     with warnings.catch_warnings():

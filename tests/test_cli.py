@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -303,6 +304,20 @@ def test_an_out_of_range_noise_fraction_exits_one(tmp_path, capfd):
     code = main(["run", "--config", write(tmp_path, doc)])
     assert code == 1
     assert "noise_fraction must be in [0,1)" in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "x0,x1,label\n", "x0,x1,label\n# no rows\n"])
+def test_a_csv_without_data_rows_exits_one_naming_it_without_a_warning(tmp_path, capfd, text):
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    doc = f"[objective]\nkind = logistic\ncsv = {data}\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--config", write(tmp_path, doc)])
+    assert code == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sharpopt: CSV {data} has no data rows\n"
 
 
 @pytest.mark.parametrize("flag,value", [("--wnorm", "nan"), ("--wnorm", "inf"), ("--rho", "inf")])

@@ -13,6 +13,7 @@ from sharpopt.objectives import (
     BatchSpec,
     Logistic,
     Quadratic,
+    RowByRow,
     ToyLandscape,
     ToyLandscapeParams,
     check_gradients,
@@ -112,6 +113,26 @@ def test_toy_params_validation():
         ToyLandscapeParams(weights=(0.5, 0.6))
     with pytest.raises(ValueError):
         ToyLandscapeParams(temperatures=(1.0, 0.0))
+
+
+def test_toy_params_reject_a_negative_mixture_weight():
+    with pytest.raises(ValueError, match="mixture weights must be >= 0"):
+        ToyLandscapeParams(weights=(1.5, -0.5))
+    # a zero weight stays valid: the landscape is then its other component alone
+    one = ToyLandscape(ToyLandscapeParams(weights=(1.0, 0.0)))
+    assert one.loss([0.0, 5.0]) == pytest.approx(kl_univariate(0.0, 5.0, 20.0, 30.0) / 1.8 ** 2)
+
+
+def test_row_by_row_raises_at_a_point_outside_the_domain_and_reads_nan_for_such_a_row():
+    toy = ToyLandscape()
+    wrapped = RowByRow(toy)
+    with pytest.raises(DomainError, match="sigma > 0"):
+        wrapped.loss_grad([0.0, -1.0])
+    losses, grads = wrapped.loss_grad(np.array([[0.0, -1.0], [-6.0, 10.0]]))
+    assert np.isnan(losses[0]) and np.isnan(grads[0]).all()
+    loss, grad = wrapped.loss_grad([-6.0, 10.0])
+    assert type(loss) is float and loss == losses[1] == toy.loss([-6.0, 10.0])
+    assert grad.tolist() == grads[1].tolist() == toy.grad([-6.0, 10.0]).tolist()
 
 
 def test_toy_grad_matches_oracle_on_a_grid():
